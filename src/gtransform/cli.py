@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -75,6 +76,10 @@ def _parse_values(raw, field_name: str, exact: bool) -> list:
             elif isinstance(v, int):
                 val = Fraction(v)
             elif isinstance(v, float):
+                # json reads NaN, Infinity and overflowing literals such
+                # as 1e400 as non-finite floats.
+                if not math.isfinite(v):
+                    raise ParseError(f"not a finite number: {v!r}")
                 # Read decimal literals at face value so 0.1 means 1/10
                 # in exact mode.
                 val = Fraction(repr(v))
@@ -104,7 +109,7 @@ def _table_document(table: ExtrapolationTable, exact: bool) -> Dict[str, Any]:
                 "value": _serialize_value(entry.value, exact)
                 if entry.valid
                 else None,
-                "status": entry.status.label,
+                "status": entry.status.value,
             }
         )
     diagonal = [
@@ -183,7 +188,10 @@ def cmd_table(args) -> int:
             seq = shanks_prepare(A, field=fld)
         else:
             u = _parse_values(doc.get("u"), "u", exact)
-            seq = SequencePair(A=A, u=u)
+            try:
+                seq = SequencePair(A=A, u=u)
+            except ArgumentError as exc:
+                raise _InputError(f"field 'u': {exc}") from None
         if args.method == "fsqd":
             table = run_fs_qd(seq, diagonal_only=args.diagonal_only, field=fld)
         else:
@@ -194,6 +202,19 @@ def cmd_table(args) -> int:
     if table.all_beyond_first_column_broken():
         return EXIT_ALL_BREAKDOWN
     return EXIT_OK
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for the integrate limits and spacing."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}"
+        )
+    return value
 
 
 def cmd_integrate(args) -> int:
@@ -274,9 +295,12 @@ def _build_parser() -> _Parser:
     p_int = sub.add_parser("integrate", help="accelerate a semi-infinite integral")
     p_int.add_argument("--integrand", required=True,
                        choices=("exp_decay", "t_exp", "sinc"))
-    p_int.add_argument("--a", type=float, default=0.0, help="lower limit")
-    p_int.add_argument("--x", type=float, required=True, help="first sample point")
-    p_int.add_argument("--h", type=float, default=1.0, help="sample spacing")
+    p_int.add_argument("--a", type=_finite_float, default=0.0,
+                       help="lower limit")
+    p_int.add_argument("--x", type=_finite_float, required=True,
+                       help="first sample point")
+    p_int.add_argument("--h", type=_finite_float, default=1.0,
+                       help="sample spacing")
     p_int.add_argument("--n-max", type=int, required=True, dest="n_max")
     p_int.add_argument("--engine", choices=ENGINES, default="fsqd")
     p_int.add_argument("--subdivisions", type=int, default=64,

@@ -15,46 +15,50 @@ statuses instead of aborting on degenerate data.  Divisor policy:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Any, List, Tuple
 
 from .scalars import float_is_finite, infer_field
 from .tables import (
     ArgumentError,
-    Entry,
     EntryStatus,
     ExtrapolationTable,
     InitializationError,
     QdTable,
     RsTable,
     SequencePair,
-    combined_status,
 )
 
-VALID = EntryStatus.VALID
+# A slot of a working column holds its value, or one of these two
+# statuses when the entry has none.
 BREAKDOWN = EntryStatus.BREAKDOWN
 NOT_COMPUTED = EntryStatus.NOT_COMPUTED
 
 
-def _check_u_nonzero(u, field, count: Optional[int] = None) -> None:
-    limit = len(u) if count is None else min(count, len(u))
-    for i in range(limit):
-        if field.is_zero(u[i]):
+def _blocked(*slots):
+    """The status an entry inherits from its operand slots, or None when
+    every operand holds a value.  Breakdown dominates (it propagates to
+    every dependent), then not-computed."""
+    out = None
+    for s in slots:
+        if s is BREAKDOWN:
+            return BREAKDOWN
+        if s is NOT_COMPUTED:
+            out = NOT_COMPUTED
+    return out
+
+
+def _check_u_nonzero(u, field) -> None:
+    for i, x in enumerate(u):
+        if field.is_zero(x):
             raise InitializationError(
                 f"u[{i}] is zero; the recursion needs every u value "
                 f"nonzero as an initial divisor"
             )
 
 
-def build_qd_table(u, L: int, field=None) -> QdTable:
-    """Quotient-difference arrays from u_0..u_2L, column by column.
-
-    e[j][0] = 0; q[j][1] = u_{j+1}/u_j; then
-    e[j][n] = q[j+1][n] - q[j][n] + e[j+1][n-1] and
-    q[j][n+1] = (e[j+1][n]/e[j][n]) * q[j+1][n].
-
-    A short u (fewer than 2L+1 values) leaves the entries that would need
-    the missing tail not-computed; a longer u is an error.
-    """
+def _qd_input(u, L: int, field) -> list:
+    """u_0..u_2L checked for length, converted and checked nonzero."""
     if L < 0:
         raise ArgumentError(f"L must be non-negative, got {L}")
     if len(u) == 0 and L > 0:
@@ -63,61 +67,65 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
         raise ArgumentError(
             f"u holds {len(u)} values but 2L+1 = {2 * L + 1} expected"
         )
-    if field is None:
-        field = infer_field(u)
     u = [field.convert(x) for x in u]
     _check_u_nonzero(u, field)
+    return u
 
-    table = QdTable(L)
-    zero = field.zero()
-    for j in range(2 * L + 1):
-        table.e.set(j, 0, Entry(zero, VALID))
-    for j in range(2 * L):
-        if j + 1 < len(u):
-            table.q.set(j, 1, Entry(u[j + 1] / u[j], VALID))
-        else:
-            table.q.set(j, 1, Entry(None, NOT_COMPUTED))
 
+def _qd_sweep(u, L: int, field):
+    """Columns (q_n, e_n, d_n), n = 0..L, of the quotient-difference
+    recursion over converted u_0..u_2L.
+
+    e[j][0] = 0; q[j][1] = u_{j+1}/u_j; then
+    e[j][n] = q[j+1][n] - q[j][n] + e[j+1][n-1] and
+    q[j][n+1] = (e[j+1][n]/d[j][n]) * q[j+1][n],
+    where d[j][n] is e[j][n] passed through the field's structural
+    divisor guard, scaled by the operands that formed it: None where the
+    guard refuses it, e's own status where e has no value.  q_0 and d_0
+    are empty.  A short u leaves the entries that would need the missing
+    tail not computed.
+    """
+    e = [field.zero()] * (2 * L + 1)
+    q = [
+        u[j + 1] / u[j] if j + 1 < len(u) else NOT_COMPUTED
+        for j in range(2 * L)
+    ]
+    yield [], e, []
     for n in range(1, L + 1):
+        e_prev, e, d = e, [], []
         for j in range(2 * (L - n) + 1):
-            q1 = table.q.get(j + 1, n)
-            q0 = table.q.get(j, n)
-            ep = table.e.get(j + 1, n - 1)
-            status = combined_status(q1.status, q0.status, ep.status)
-            if status is VALID:
-                table.e.set(j, n, Entry(q1.value - q0.value + ep.value, VALID))
+            q1, q0, ep = q[j + 1], q[j], e_prev[j + 1]
+            status = _blocked(q1, q0, ep)
+            if status is None:
+                ev = q1 - q0 + ep
+                e.append(ev)
+                d.append(field.structural_divisor(ev, q1, q0, ep))
             else:
-                table.e.set(j, n, Entry(None, status))
+                e.append(status)
+                d.append(status)
+        yield q, e, d
+        q_next = []
         for j in range(2 * (L - n)):
-            e1 = table.e.get(j + 1, n)
-            e0 = table.e.get(j, n)
-            qn = table.q.get(j + 1, n)
-            status = combined_status(e1.status, e0.status, qn.status)
-            if status is VALID:
-                den = _qd_divisor(field, table, j, n)
-                if den is None:
-                    status = BREAKDOWN
-                else:
-                    table.q.set(
-                        j, n + 1, Entry((e1.value / den) * qn.value, VALID)
-                    )
-                    continue
-            table.q.set(j, n + 1, Entry(None, status))
-    return table
+            e1, den, qn = e[j + 1], d[j], q[j + 1]
+            status = _blocked(e1, den, qn)
+            if status is None and den is None:
+                status = BREAKDOWN
+            q_next.append((e1 / den) * qn if status is None else status)
+        q = q_next
 
 
-def _qd_divisor(field, table: QdTable, j: int, n: int):
-    """Guarded divisor for e[j][n], scaled by the operands that formed it.
-    None signals breakdown (exact field only)."""
-    ev = table.e.get(j, n).value
-    ops = []
-    q1 = table.q.get(j + 1, n)
-    q0 = table.q.get(j, n)
-    ep = table.e.get(j + 1, n - 1)
-    for ent in (q1, q0, ep):
-        if ent.valid:
-            ops.append(ent.value)
-    return field.structural_divisor(ev, *ops)
+def build_qd_table(u, L: int, field=None) -> QdTable:
+    """Quotient-difference arrays from u_0..u_2L, column by column (see
+    _qd_sweep).  A short u (fewer than 2L+1 values) leaves the entries
+    that would need the missing tail not-computed; a longer u is an
+    error."""
+    if field is None:
+        field = infer_field(u)
+    q_cols, e_cols = [], []
+    for q, e, _ in _qd_sweep(_qd_input(u, L, field), L, field):
+        q_cols.append(q)
+        e_cols.append(e)
+    return QdTable(L, q_cols, e_cols)
 
 
 def run_fs_qd(
@@ -136,65 +144,67 @@ def run_fs_qd(
         field = seq.infer_field()
     L = seq.L
     A = [field.convert(x) for x in seq.A]
-    u = [field.convert(x) for x in seq.u]
-    _check_u_nonzero(u, field)
-    qd = build_qd_table(u, L, field)
+    u = _qd_input(seq.u, L, field)
 
-    M: Dict[Tuple[int, int], Entry] = {}
-    N: Dict[Tuple[int, int], Entry] = {}
     one = field.one()
-    for j in range(L + 1):
-        if j < len(u):
-            M[(j, 0)] = Entry(A[j] / u[j], VALID)
-            N[(j, 0)] = Entry(one / u[j], VALID)
-        else:
-            M[(j, 0)] = Entry(None, NOT_COMPUTED)
-            N[(j, 0)] = Entry(None, NOT_COMPUTED)
-
-    for n in range(1, L + 1):
+    M = [A[j] / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
+    N = [one / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
+    columns = [A]
+    sweep = islice(_qd_sweep(u, L, field), 1, None)
+    for n, (_, _, d) in enumerate(sweep, start=1):
+        M_prev, N_prev, M, N = M, N, [], []
         for j in range(L - n + 1):
-            m1, m0 = M[(j + 1, n - 1)], M[(j, n - 1)]
-            n1, n0 = N[(j + 1, n - 1)], N[(j, n - 1)]
-            ee = qd.e.get(j, n)
-            status = combined_status(
-                m1.status, m0.status, n1.status, n0.status, ee.status
+            m1, m0, n1, n0, den = (
+                M_prev[j + 1], M_prev[j], N_prev[j + 1], N_prev[j], d[j]
             )
-            if status is VALID:
-                den = _qd_divisor(field, qd, j, n)
-                if den is None:
-                    status = BREAKDOWN
-                else:
-                    M[(j, n)] = Entry((m1.value - m0.value) / den, VALID)
-                    N[(j, n)] = Entry((n1.value - n0.value) / den, VALID)
-                    continue
-            M[(j, n)] = Entry(None, status)
-            N[(j, n)] = Entry(None, status)
-
-    method = "fsqd_diag" if diagonal_only else "fsqd"
-    out = ExtrapolationTable(method, L)
-    for j in range(L + 1):
-        out.set(j, 0, Entry(A[j], VALID))
-    for n in range(1, L + 1):
-        for j in range(L - n + 1):
-            if diagonal_only and j != 0:
-                out.set(j, n, Entry(None, NOT_COMPUTED))
-                continue
-            me, ne = M[(j, n)], N[(j, n)]
-            status = combined_status(me.status, ne.status)
-            if status is VALID:
-                if field.is_zero(ne.value) or not (
+            status = _blocked(m1, m0, n1, n0, den)
+            if status is None and den is None:
+                status = BREAKDOWN
+            if status is None:
+                M.append((m1 - m0) / den)
+                N.append((n1 - n0) / den)
+            else:
+                M.append(status)
+                N.append(status)
+        width = 1 if diagonal_only else L - n + 1
+        col = []
+        for me, ne in zip(M[:width], N[:width]):
+            status = _blocked(me, ne)
+            if status is None and (
+                field.is_zero(ne)
+                or not (
                     field.exact
-                    or (
-                        float_is_finite(me.value)
-                        and float_is_finite(ne.value)
-                    )
-                ):
-                    status = BREAKDOWN
-                else:
-                    out.set(j, n, Entry(me.value / ne.value, VALID))
-                    continue
-            out.set(j, n, Entry(None, status))
-    return out
+                    or (float_is_finite(me) and float_is_finite(ne))
+                )
+            ):
+                status = BREAKDOWN
+            col.append(me / ne if status is None else status)
+        columns.append(col + [NOT_COMPUTED] * (L - n + 1 - width))
+    method = "fsqd_diag" if diagonal_only else "fsqd"
+    return ExtrapolationTable(method, L, columns)
+
+
+def _guarded_factor(field, a, b, c, one):
+    """a * (b/c - 1), the update of both the r and the s recursion.
+
+    Its status is inherited from the operands first; then, with every
+    operand valid, it breaks down where c is refused as a value divisor
+    or, in float arithmetic, where the bracket cancels to roundoff or the
+    product vanishes."""
+    status = _blocked(a, b, c)
+    if status is not None:
+        return status
+    den = field.value_divisor(c)
+    if den is None:
+        return BREAKDOWN
+    ratio = b / den
+    paren = ratio - one
+    if not field.exact and field.is_negligible(paren, ratio, one):
+        return BREAKDOWN
+    val = a * paren
+    if not field.exact and field.is_zero(val):
+        return BREAKDOWN
+    return val
 
 
 def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
@@ -218,86 +228,36 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     u = [field.convert(x) for x in seq.u]
     _check_u_nonzero(u, field)
 
-    tbl = RsTable(L)
     one = field.one()
-    for j in range(2 * (L - 0) + 2):
-        tbl.s.set(j, 0, Entry(one, VALID))
-    for j in range(2 * (L - 1) + 3):
-        if j < len(u):
-            tbl.r.set(j, 1, Entry(u[j], VALID))
-        else:
-            tbl.r.set(j, 1, Entry(None, NOT_COMPUTED))
-
-    out = ExtrapolationTable("rs", L)
-    for j in range(L + 1):
-        out.set(j, 0, Entry(A[j], VALID))
-
+    s_cols = [[one] * (2 * L + 2)]
+    r_cols = [[], [u[j] if j < len(u) else NOT_COMPUTED
+                   for j in range(2 * L + 1)]]
+    columns = [A]
     for n in range(1, L + 1):
-        for j in range(2 * (L - n) + 2):
-            sp = tbl.s.get(j + 1, n - 1)
-            r1 = tbl.r.get(j + 1, n)
-            r0 = tbl.r.get(j, n)
-            status = combined_status(sp.status, r1.status, r0.status)
-            if status is VALID:
-                den = field.value_divisor(r0.value)
-                if den is None:
-                    status = BREAKDOWN
-                else:
-                    ratio = r1.value / den
-                    paren = ratio - one
-                    if not field.exact and field.is_negligible(
-                        paren, ratio, one
-                    ):
-                        status = BREAKDOWN
-                    else:
-                        val = sp.value * paren
-                        if not field.exact and field.is_zero(val):
-                            status = BREAKDOWN
-                        else:
-                            tbl.s.set(j, n, Entry(val, VALID))
-                            continue
-            tbl.s.set(j, n, Entry(None, status))
-        for j in range(2 * (L - n) + 1):
-            s1 = tbl.s.get(j + 1, n)
-            s0 = tbl.s.get(j, n)
-            rp = tbl.r.get(j + 1, n)
-            status = combined_status(s1.status, s0.status, rp.status)
-            if status is VALID:
-                den = field.value_divisor(s0.value)
-                if den is None:
-                    status = BREAKDOWN
-                else:
-                    ratio = s1.value / den
-                    paren = ratio - one
-                    if not field.exact and field.is_negligible(
-                        paren, ratio, one
-                    ):
-                        status = BREAKDOWN
-                    else:
-                        val = rp.value * paren
-                        if not field.exact and field.is_zero(val):
-                            status = BREAKDOWN
-                        else:
-                            tbl.r.set(j, n + 1, Entry(val, VALID))
-                            continue
-            tbl.r.set(j, n + 1, Entry(None, status))
+        r, s_prev, t_prev = r_cols[n], s_cols[n - 1], columns[n - 1]
+        s = [
+            _guarded_factor(field, s_prev[j + 1], r[j + 1], r[j], one)
+            for j in range(2 * (L - n) + 2)
+        ]
+        r_next = [
+            _guarded_factor(field, r[j + 1], s[j + 1], s[j], one)
+            for j in range(2 * (L - n) + 1)
+        ]
+        col = []
         for j in range(L - n + 1):
-            r0 = tbl.r.get(j, n)
-            r1 = tbl.r.get(j + 1, n)
-            t1 = out.get(j + 1, n - 1)
-            t0 = out.get(j, n - 1)
-            status = combined_status(r0.status, r1.status, t1.status, t0.status)
-            if status is VALID:
-                den_raw = r0.value - r1.value
-                den = field.value_divisor(den_raw, r0.value, r1.value)
+            r0, r1, t1, t0 = r[j], r[j + 1], t_prev[j + 1], t_prev[j]
+            status = _blocked(r0, r1, t1, t0)
+            if status is None:
+                den = field.value_divisor(r0 - r1, r0, r1)
                 if den is None:
                     status = BREAKDOWN
-                else:
-                    num = r0.value * t1.value - r1.value * t0.value
-                    out.set(j, n, Entry(num / den, VALID))
-                    continue
-            out.set(j, n, Entry(None, status))
-    return tbl, out
+            col.append(
+                (r0 * t1 - r1 * t0) / den if status is None else status
+            )
+        s_cols.append(s)
+        r_cols.append(r_next)
+        columns.append(col)
+    return RsTable(L, r_cols, s_cols), ExtrapolationTable("rs", L, columns)
 
 
 def run_epsilon(A, field=None) -> ExtrapolationTable:
@@ -315,34 +275,23 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     vals = [field.convert(x) for x in A]
     total = len(vals) - 1
 
-    zero = field.zero()
     one = field.one()
-    eps: Dict[Tuple[int, int], Entry] = {}
-    for j in range(total + 1):
-        eps[(j, -1)] = Entry(zero, VALID)
-        eps[(j, 0)] = Entry(vals[j], VALID)
-
-    for k in range(0, total):
+    prev, cur = [field.zero()] * (total + 1), vals
+    columns = [vals]
+    for k in range(total):
+        nxt = []
         for j in range(total - k):
-            prev = eps[(j + 1, k - 1)]
-            hi = eps[(j + 1, k)]
-            lo = eps[(j, k)]
-            status = combined_status(prev.status, hi.status, lo.status)
-            if status is VALID:
-                diff = hi.value - lo.value
-                den = field.value_divisor(diff, hi.value, lo.value)
+            pv, hi, lo = prev[j + 1], cur[j + 1], cur[j]
+            status = _blocked(pv, hi, lo)
+            if status is None:
+                den = field.value_divisor(hi - lo, hi, lo)
                 if den is None:
                     status = BREAKDOWN
-                else:
-                    eps[(j, k + 1)] = Entry(prev.value + one / den, VALID)
-                    continue
-            eps[(j, k + 1)] = Entry(None, status)
-
-    out = ExtrapolationTable("eps", total // 2)
-    for n in range(total // 2 + 1):
-        for j in range(total - 2 * n + 1):
-            out.set(j, n, eps[(j, 2 * n)])
-    return out
+            nxt.append(pv + one / den if status is None else status)
+        prev, cur = cur, nxt
+        if k % 2 == 1:
+            columns.append(cur)
+    return ExtrapolationTable("eps", total // 2, columns)
 
 
 def shanks_prepare(A, field=None) -> SequencePair:

@@ -9,7 +9,7 @@ the full integral together with errors against a known reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .engines import run_epsilon, run_fs_qd, run_rs
@@ -105,7 +105,6 @@ class QuadratureConfig:
 
     subdivisions_per_panel: int = 64
     analytic_F: bool = False
-    rule: str = field(default="simpson", init=False)
 
     def __post_init__(self) -> None:
         n = self.subdivisions_per_panel

@@ -269,9 +269,6 @@ class FloatField:
             return d
         return floor if dv >= 0.0 else -floor
 
-    def to_float(self, v) -> float:
-        return _raw(v)
-
 
 class RationalField:
     """Exact rational arithmetic over fractions.Fraction.
@@ -315,28 +312,24 @@ class RationalField:
     def structural_divisor(self, d, *ops):
         return None if d == 0 else d
 
-    def to_float(self, v) -> float:
-        return float(v)
 
-
-class CountingField:
+class CountingField(FloatField):
     """FloatField semantics with operation tallying.
 
-    Negligibility and floor decisions are made on the raw doubles and are
-    free; only the arithmetic the engine actually performs is counted.
+    Negligibility and floor decisions are inherited from FloatField and
+    made on the raw doubles, so they are free; only the arithmetic the
+    engine actually performs is counted.
     """
 
     name = "counting"
-    exact = False
 
     def __init__(self, ctx: Optional[CountingContext] = None):
         self.ctx = ctx if ctx is not None else CountingContext()
-        self._plain = FloatField()
 
     def convert(self, v: Numeric) -> CountingScalar:
         if isinstance(v, CountingScalar):
             return v
-        return CountingScalar(self._plain.convert(v), self.ctx)
+        return CountingScalar(super().convert(v), self.ctx)
 
     def zero(self) -> CountingScalar:
         return CountingScalar(0.0, self.ctx)
@@ -344,25 +337,11 @@ class CountingField:
     def one(self) -> CountingScalar:
         return CountingScalar(1.0, self.ctx)
 
-    def is_zero(self, v) -> bool:
-        return _raw(v) == 0.0
-
-    def is_negligible(self, d, *ops) -> bool:
-        return self._plain.is_negligible(d, *ops)
-
-    def value_divisor(self, d, *ops):
-        if self._plain.is_negligible(d, *ops):
-            return None
-        return d
-
     def structural_divisor(self, d, *ops):
-        guarded = self._plain.structural_divisor(_raw(d), *ops)
-        if guarded is _raw(d) or guarded == _raw(d):
+        guarded = super().structural_divisor(_raw(d), *ops)
+        if guarded == _raw(d):
             return d
         return CountingScalar(guarded, self.ctx)
-
-    def to_float(self, v) -> float:
-        return _raw(v)
 
 
 def with_counting(

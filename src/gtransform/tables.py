@@ -4,13 +4,18 @@ Every table slot carries a status so degenerate data truncates tables
 instead of aborting runs: a zero divisor invalidates one entry and its
 dependents, and entries whose inputs are simply unavailable are marked
 not-computed rather than breakdown.
+
+Tables are stored as the columns the engines sweep: column n is a plain
+list whose slot j holds the value of entry (j, n), or the EntryStatus
+BREAKDOWN or NOT_COMPUTED when the entry has no value.  Entry objects are
+built only when a caller reads a slot.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from .scalars import infer_field
 
@@ -29,10 +34,6 @@ class EntryStatus(enum.Enum):
     BREAKDOWN = "breakdown"
     NOT_COMPUTED = "not_computed"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 @dataclass
 class Entry:
@@ -47,56 +48,65 @@ class Entry:
         return self.status is EntryStatus.VALID
 
 
-def combined_status(*statuses: EntryStatus) -> EntryStatus:
-    """Status for an entry computed from the given inputs.  Breakdown
-    dominates (it propagates to every dependent), then not-computed."""
-    out = EntryStatus.VALID
-    for s in statuses:
-        if s is EntryStatus.BREAKDOWN:
-            return EntryStatus.BREAKDOWN
-        if s is EntryStatus.NOT_COMPUTED:
-            out = EntryStatus.NOT_COMPUTED
-    return out
+def _entry(slot) -> Entry:
+    if isinstance(slot, EntryStatus):
+        return Entry(None, slot)
+    return Entry(slot, EntryStatus.VALID)
 
 
-class _IndexedTable:
-    """Dict-backed ragged table keyed by (j, n)."""
+class _ColumnTable:
+    """Ragged table keyed by (j, n), held as columns[n][j].  A column may
+    be empty (the q and r arrays start at n = 1); slots outside the
+    columns read as not computed."""
 
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, int], Entry] = {}
+    def __init__(self, columns: List[list]) -> None:
+        self.columns = columns
 
-    def set(self, j: int, n: int, entry: Entry) -> None:
-        self._entries[(j, n)] = entry
+    def _has(self, j: int, n: int) -> bool:
+        return 0 <= n < len(self.columns) and 0 <= j < len(self.columns[n])
+
+    def _slot(self, j: int, n: int):
+        if self._has(j, n):
+            return self.columns[n][j]
+        return EntryStatus.NOT_COMPUTED
 
     def get(self, j: int, n: int) -> Entry:
-        return self._entries.get((j, n), Entry(None, EntryStatus.NOT_COMPUTED))
+        return _entry(self._slot(j, n))
 
-    def has(self, j: int, n: int) -> bool:
-        return (j, n) in self._entries
+    def set(self, j: int, n: int, entry: Entry) -> None:
+        """Overwrite an existing slot."""
+        if not self._has(j, n):
+            raise ArgumentError(f"table has no slot ({j},{n})")
+        self.columns[n][j] = entry.value if entry.valid else entry.status
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Entry]]:
-        return iter(sorted(self._entries.items()))
+        """Every slot in (j, n) order."""
+        depth = max(map(len, self.columns), default=0)
+        for j in range(depth):
+            for n, col in enumerate(self.columns):
+                if j < len(col):
+                    yield (j, n), _entry(col[j])
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self.columns))
 
 
-class ExtrapolationTable(_IndexedTable):
+class ExtrapolationTable(_ColumnTable):
     """Triangular array of accelerated values indexed (j, n) for
     0 <= j+n <= limit, tagged with the engine that produced it."""
 
-    def __init__(self, method: str, limit: int) -> None:
-        super().__init__()
+    def __init__(self, method: str, limit: int, columns: List[list]) -> None:
+        super().__init__(columns)
         self.method = method
         self.limit = limit
 
     def value(self, j: int, n: int):
-        e = self.get(j, n)
-        if not e.valid:
+        slot = self._slot(j, n)
+        if isinstance(slot, EntryStatus):
             raise ArgumentError(
-                f"entry ({j},{n}) is {e.status.label}, not valid"
+                f"entry ({j},{n}) is {slot.value}, not valid"
             )
-        return e.value
+        return slot
 
     def diagonal(self) -> List[Entry]:
         """Entries (0, n) for n = 0..limit."""
@@ -107,21 +117,18 @@ class ExtrapolationTable(_IndexedTable):
         because diagonal entries converge fastest.  None when even (0,0)
         is unavailable."""
         for n in range(self.limit, -1, -1):
-            e = self.get(0, n)
-            if e.valid:
-                return n, e.value
+            slot = self._slot(0, n)
+            if not isinstance(slot, EntryStatus):
+                return n, slot
         return None
 
     def all_beyond_first_column_broken(self) -> bool:
         """True when every entry with n >= 1 has breakdown status (and at
         least one such entry exists)."""
-        saw = False
-        for (j, n), e in self.items():
-            if n >= 1:
-                saw = True
-                if e.status is not EntryStatus.BREAKDOWN:
-                    return False
-        return saw
+        later = [slot for col in self.columns[1:] for slot in col]
+        return bool(later) and all(
+            slot is EntryStatus.BREAKDOWN for slot in later
+        )
 
 
 class QdTable:
@@ -132,10 +139,10 @@ class QdTable:
     are exactly the entries determined by u_0..u_2L.
     """
 
-    def __init__(self, L: int) -> None:
+    def __init__(self, L: int, q: List[list], e: List[list]) -> None:
         self.L = L
-        self.q = _IndexedTable()
-        self.e = _IndexedTable()
+        self.q = _ColumnTable(q)
+        self.e = _ColumnTable(e)
 
     @staticmethod
     def q_range(L: int) -> Iterator[Tuple[int, int]]:
@@ -158,10 +165,10 @@ class RsTable:
     0 <= j <= 2(L-n)+1.
     """
 
-    def __init__(self, L: int) -> None:
+    def __init__(self, L: int, r: List[list], s: List[list]) -> None:
         self.L = L
-        self.r = _IndexedTable()
-        self.s = _IndexedTable()
+        self.r = _ColumnTable(r)
+        self.s = _ColumnTable(s)
 
     @staticmethod
     def r_range(L: int) -> Iterator[Tuple[int, int]]:

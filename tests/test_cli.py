@@ -270,3 +270,48 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert main(["table", "--method", "eps"]) == 64
+
+
+class TestNonFiniteAndOverlongInput:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_document_value_is_input_error(
+        self, tmp_path, capsys, token
+    ):
+        path = tmp_path / "in.json"
+        path.write_text('{"A": [1.0, %s, 2.0]}' % token)
+        code = main(["table", "--input", str(path), "--method", "eps"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "input error" in captured.err and "A[1]" in captured.err
+        assert captured.out == ""
+
+    def test_overlong_u_is_input_error(self, tmp_path, capsys):
+        doc = {"A": ["1", "2"], "u": ["1", "2", "3", "4"], "mode": "general"}
+        path = write_doc(tmp_path, "in.json", doc)
+        code = main(["table", "--input", path, "--method", "fsqd"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "input error" in captured.err and "'u'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value, integrand",
+        [
+            ("--x", "nan", "sinc"),
+            ("--h", "nan", "sinc"),
+            ("--x", "inf", "sinc"),
+            ("--h", "inf", "sinc"),
+            ("--a", "nan", "exp_decay"),
+            ("--x", "abc", "sinc"),
+        ],
+    )
+    def test_non_finite_integrate_flag_is_usage_error(
+        self, capsys, flag, value, integrand
+    ):
+        argv = ["integrate", "--integrand", integrand, "--x", "0",
+                "--n-max", "3", flag, value]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert flag in captured.err and value in captured.err
+        assert captured.out == ""

@@ -44,7 +44,6 @@ from .oracle import (
     direct_solve,
     e_ref,
     f_det,
-    g_det,
     hankel_det,
     k_det,
     psi,
@@ -108,7 +107,6 @@ __all__ = [
     "direct_solve",
     "e_ref",
     "f_det",
-    "g_det",
     "g_transform",
     "hankel_det",
     "k_det",

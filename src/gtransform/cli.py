@@ -85,9 +85,9 @@ def _parse_values(raw, field_name: str, exact: bool) -> list:
                 val = Fraction(repr(v))
             else:
                 raise ParseError(f"unsupported type {type(v).__name__}")
-        except ParseError as exc:
+            out.append(val if exact else float(val))
+        except (ParseError, OverflowError) as exc:
             raise _InputError(f"{field_name}[{i}]: {exc}") from None
-        out.append(val if exact else float(val))
     return out
 
 

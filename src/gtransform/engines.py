@@ -1,16 +1,16 @@
 """The four recursive acceleration engines.
 
 All engines run over any scalar field from .scalars and record per-entry
-statuses instead of aborting on degenerate data.  Divisor policy:
-
-* Exact field: a division by exact zero marks the entry (and dependents)
-  breakdown.  Zero values themselves are legitimate.
-* Float fields: divisors that only propagate the quotient-difference
-  table (the e-quantities, which cancel between the paired numerator and
-  denominator arrays of the FS recursion) are floored and the run
-  continues, because their size is a gauge choice, not information.
-  Value-bearing divisors and catastrophically cancelled update factors
-  mark breakdown instead, since continuing would fabricate digits.
+statuses instead of aborting on degenerate data.  Every engine obeys one
+rule: an entry breaks down when an operand has broken down, when the field
+refuses its divisor, or when the value it would report is not finite; an
+entry with an operand not computed (and none broken down) is not
+computed.  Whether a divisor is refused, floored or cancelled, and whether
+a value is finite, is decided by the field (see .scalars), never here.
+Under float arithmetic the divisors that only propagate the
+quotient-difference table are floored rather than refused, because their
+size is a gauge choice that cancels between the paired numerator and
+denominator arrays of the FS recursion.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, List, Tuple
 
-from .scalars import float_is_finite, infer_field
+from .scalars import infer_field
 from .tables import (
     ArgumentError,
     EntryStatus,
@@ -46,6 +46,16 @@ def _blocked(*slots):
         if s is NOT_COMPUTED:
             out = NOT_COMPUTED
     return out
+
+
+def _settled(col, field) -> list:
+    """col with every value the field finds not finite marked breakdown,
+    so that no engine reports an overflowed or undefined value."""
+    finite = field.is_finite
+    return [
+        s if s is BREAKDOWN or s is NOT_COMPUTED or finite(s) else BREAKDOWN
+        for s in col
+    ]
 
 
 def _check_u_nonzero(u, field) -> None:
@@ -146,7 +156,7 @@ def run_fs_qd(
     A = [field.convert(x) for x in seq.A]
     u = _qd_input(seq.u, L, field)
 
-    one = field.one()
+    one, finite = field.one(), field.is_finite
     M = [A[j] / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
     N = [one / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
     columns = [A]
@@ -170,15 +180,13 @@ def run_fs_qd(
         col = []
         for me, ne in zip(M[:width], N[:width]):
             status = _blocked(me, ne)
+            # Checked before dividing: a non-finite M or N is never divided.
             if status is None and (
-                field.is_zero(ne)
-                or not (
-                    field.exact
-                    or (float_is_finite(me) and float_is_finite(ne))
-                )
+                field.is_zero(ne) or not (finite(me) and finite(ne))
             ):
                 status = BREAKDOWN
             col.append(me / ne if status is None else status)
+        col = _settled(col, field)
         columns.append(col + [NOT_COMPUTED] * (L - n + 1 - width))
     method = "fsqd_diag" if diagonal_only else "fsqd"
     return ExtrapolationTable(method, L, columns)
@@ -188,9 +196,9 @@ def _guarded_factor(field, a, b, c, one):
     """a * (b/c - 1), the update of both the r and the s recursion.
 
     Its status is inherited from the operands first; then, with every
-    operand valid, it breaks down where c is refused as a value divisor
-    or, in float arithmetic, where the bracket cancels to roundoff or the
-    product vanishes."""
+    operand valid, it breaks down where the field refuses c as a value
+    divisor or finds the bracket or the product negligible (in float
+    arithmetic: cancelled to roundoff, or vanished)."""
     status = _blocked(a, b, c)
     if status is not None:
         return status
@@ -199,10 +207,10 @@ def _guarded_factor(field, a, b, c, one):
         return BREAKDOWN
     ratio = b / den
     paren = ratio - one
-    if not field.exact and field.is_negligible(paren, ratio, one):
+    if field.is_negligible(paren, ratio, one):
         return BREAKDOWN
     val = a * paren
-    if not field.exact and field.is_zero(val):
+    if field.is_negligible(val):
         return BREAKDOWN
     return val
 
@@ -256,7 +264,7 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
             )
         s_cols.append(s)
         r_cols.append(r_next)
-        columns.append(col)
+        columns.append(_settled(col, field))
     return RsTable(L, r_cols, s_cols), ExtrapolationTable("rs", L, columns)
 
 
@@ -266,7 +274,8 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     eps[j][-1] = 0, eps[j][0] = A_j,
     eps[j][k+1] = eps[j+1][k-1] + 1/(eps[j+1][k] - eps[j][k]).
     Entry (j, n) of the result is eps[j][2n]; odd columns stay internal.
-    A vanishing difference marks the dependent entry breakdown.
+    A vanishing difference or a value that is not finite marks the entry,
+    and every entry that depends on it, breakdown.
     """
     if len(A) == 0:
         raise ArgumentError("A must not be empty")
@@ -288,7 +297,7 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
                 if den is None:
                     status = BREAKDOWN
             nxt.append(pv + one / den if status is None else status)
-        prev, cur = cur, nxt
+        prev, cur = cur, _settled(nxt, field)
         if k % 2 == 1:
             columns.append(cur)
     return ExtrapolationTable("eps", total // 2, columns)

@@ -49,23 +49,6 @@ def _check_order(n: int) -> None:
         )
 
 
-def _det_cofactor(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    sign = 1
-    for c in range(n):
-        minor = [row[:c] + row[c + 1:] for row in rows[1:]]
-        total += sign * rows[0][c] * _det_cofactor(minor)
-        sign = -sign
-    return total
-
-
 def _det_bareiss_int(rows: List[List[int]]) -> int:
     """Fraction-free elimination on an integer matrix."""
     n = len(rows)
@@ -90,15 +73,15 @@ def _det_bareiss_int(rows: List[List[int]]) -> int:
 
 
 def det(rows: List[List[Fraction]]) -> Fraction:
-    """Exact determinant; cofactor expansion up to 3x3, otherwise integer
-    fraction-free elimination after clearing row denominators."""
+    """Exact determinant by integer fraction-free elimination after
+    clearing row denominators; order 0 gives 1."""
     n = len(rows)
     _check_order(n)
     for row in rows:
         if len(row) != n:
             raise ArgumentError("determinant needs a square matrix")
-    if n <= 3:
-        return _det_cofactor(rows)
+    if n == 0:
+        return Fraction(1)
     cleared: List[List[int]] = []
     factor = 1
     for row in rows:
@@ -209,23 +192,6 @@ class SequenceFunction:
         return SequenceFunction("I", lambda l: Fraction(1))
 
 
-def g_det(u: Sequence, j: int, n: int) -> Fraction:
-    """Determinant of the n-by-n matrix whose column k holds the window
-    u_{k+l-1} for rows l = j..j+n-1.
-
-    Because the column windows overlap by one shift, this matrix is the
-    same Hankel matrix hankel_det(u, j, n) evaluates; both constructions
-    are kept so the identity can be asserted.
-    """
-    _check_order(n)
-    uu = _as_exact(u, "u")
-    if n == 0:
-        return Fraction(1)
-    _u_window(uu, j, j + 2 * n - 2, f"g_det(j={j}, n={n})")
-    rows = [[uu[(k + 1) + (j + l) - 1] for k in range(n)] for l in range(n)]
-    return det(rows)
-
-
 def f_det(b: SequenceFunction, u: Sequence, j: int, n: int) -> Fraction:
     """Determinant of the (n+1)-by-(n+1) matrix with first column b(j+l)
     and remaining columns the shifted u windows; order 0 gives b(j)."""
@@ -243,11 +209,12 @@ def f_det(b: SequenceFunction, u: Sequence, j: int, n: int) -> Fraction:
 
 
 def psi(b: SequenceFunction, u: Sequence, j: int, n: int) -> Fraction:
-    """The ratio f_det(b)/g_det of order n over n+1; the quantity the
-    fast engine carries as its M and N arrays."""
-    den = g_det(u, j, n + 1)
+    """The ratio of f_det(b) of order n to the Hankel determinant of
+    order n+1; the quantity the fast engine carries as its M and N
+    arrays."""
+    den = hankel_det(u, j, n + 1)
     if den == 0:
-        raise SingularError(f"g_det(j={j}, n={n + 1}) = 0")
+        raise SingularError(f"hankel_det(j={j}, n={n + 1}) = 0")
     return f_det(b, u, j, n) / den
 
 

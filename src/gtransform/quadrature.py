@@ -37,6 +37,13 @@ class IntegrandSpec:
     F_samples: Optional[List[float]] = None
     f_samples: Optional[List[float]] = None
 
+    def __post_init__(self) -> None:
+        if self.reference is not None and not math.isfinite(self.reference):
+            raise InitializationError(
+                f"the {self.id} integral from a = {self.a} overflows the "
+                f"double range"
+            )
+
     @property
     def tabular(self) -> bool:
         return self.F_samples is not None
@@ -50,23 +57,27 @@ def _sinc(t: float) -> float:
 
 def make_spec(integrand_id: str, a: float = 0.0) -> IntegrandSpec:
     """Catalog lookup.  Closed forms and references are exact consequences
-    of the lower limit a; sinc has a known value only from a = 0."""
+    of the lower limit a; sinc has a known value only from a = 0.  A
+    reference that overflows the double range is an InitializationError."""
+    try:
+        ea = math.exp(-a)
+    except OverflowError:
+        ea = math.inf
     if integrand_id == "exp_decay":
         return IntegrandSpec(
             id="exp_decay",
             a=a,
             f=lambda t: math.exp(-t),
-            F_closed=lambda x: math.exp(-a) - math.exp(-x),
-            reference=math.exp(-a),
+            F_closed=lambda x: ea - math.exp(-x),
+            reference=ea,
         )
     if integrand_id == "t_exp":
         return IntegrandSpec(
             id="t_exp",
             a=a,
             f=lambda t: t * math.exp(-t),
-            F_closed=lambda x: (1.0 + a) * math.exp(-a)
-            - (1.0 + x) * math.exp(-x),
-            reference=(1.0 + a) * math.exp(-a),
+            F_closed=lambda x: (1.0 + a) * ea - (1.0 + x) * math.exp(-x),
+            reference=(1.0 + a) * ea,
         )
     if integrand_id == "sinc":
         return IntegrandSpec(
@@ -203,6 +214,15 @@ def _f_samples(spec: IntegrandSpec, x: float, h: float, count: int) -> List[floa
     return [spec.f(x + i * h) for i in range(count)]
 
 
+def _check_finite(name: str, vals: List[float], x: float, h: float) -> None:
+    for i, val in enumerate(vals):
+        if not math.isfinite(val):
+            raise InitializationError(
+                f"{name}(x + {i}h) = {name}({x + i * h}) is {val}; the "
+                f"samples must be finite"
+            )
+
+
 def g_transform(
     spec: IntegrandSpec,
     x: float,
@@ -216,7 +236,9 @@ def g_transform(
     Builds the pair A_i = F(x+ih) (i = 0..n_max) and u_i = f(x+ih)
     (i = 0..2 n_max) and runs the chosen engine.  The eps engine ignores
     u entirely and runs on the F samples alone with its depth halved; it
-    is exposed for comparison only.
+    is exposed for comparison only.  A sample that is not finite (the
+    integrand or its running integral overflowed) is an
+    InitializationError.
     """
     if n_max < 1:
         raise ArgumentError(f"n_max must be >= 1, got {n_max}")
@@ -228,11 +250,13 @@ def g_transform(
         cfg = QuadratureConfig()
 
     F_vals = sample_F(spec, x, h, n_max + 1, cfg)
+    _check_finite("F", F_vals, x, h)
 
     if engine == "eps":
         table = run_epsilon(F_vals)
     else:
         u_vals = _f_samples(spec, x, h, 2 * n_max + 1)
+        _check_finite("f", u_vals, x, h)
         for i, val in enumerate(u_vals):
             if val == 0.0:
                 raise InitializationError(

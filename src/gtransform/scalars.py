@@ -2,8 +2,11 @@
 
 Three realizations share one small protocol: plain machine doubles, exact
 rationals, and counting-instrumented doubles that tally every add, multiply
-and divide.  Engines never test divisors themselves; they ask the field,
-so the breakdown policy lives in exactly one place per realization.
+and divide.  The breakdown policy lives here and nowhere else: engines
+never test a divisor or a value themselves.  They ask the field whether a
+divisor is refused (value_divisor, is_zero), floored (structural_divisor)
+or cancelled to roundoff (is_negligible), and whether a value they would
+report is finite (is_finite).
 """
 
 from __future__ import annotations
@@ -214,7 +217,8 @@ def _raw(x) -> float:
 def _float_scale(ops) -> float:
     scale = 0.0
     for o in ops:
-        a = abs(_raw(o))
+        # _raw inlined: this loop runs for nearly every guarded divisor.
+        a = abs(o.value if isinstance(o, CountingScalar) else float(o))
         if a > scale:
             scale = a
     return scale
@@ -227,15 +231,15 @@ class FloatField:
     cancels between numerator tables) are floored rather than refused, so
     the table continues through exactly-degenerate data.  Value-bearing
     divisors are refused (None) when negligible relative to the operands
-    that produced them.
+    that produced them, and a value that is not finite is never reported.
     """
 
     name = "float"
-    exact = False
+    is_finite = staticmethod(math.isfinite)
 
     def convert(self, v: Numeric) -> float:
         if isinstance(v, str):
-            return float(Fraction(v))
+            return float(rational_from_text(v))
         return _raw(v)
 
     def zero(self) -> float:
@@ -251,7 +255,7 @@ class FloatField:
         dv = _raw(d)
         if dv == 0.0:
             return True
-        return abs(dv) <= EPS * _float_scale(ops)
+        return ops != () and abs(dv) <= EPS * _float_scale(ops)
 
     def value_divisor(self, d, *ops):
         """The divisor for a division whose quotient is a reported value,
@@ -274,12 +278,11 @@ class RationalField:
     """Exact rational arithmetic over fractions.Fraction.
 
     Every result is normalized (reduced, positive denominator), so equality
-    is structural.  Both divisor kinds refuse exact zeros; there is no
-    notion of "negligible but nonzero" here.
+    is structural.  Both divisor kinds refuse exact zeros; nothing is
+    negligible and every value is finite.
     """
 
     name = "rational"
-    exact = True
 
     def convert(self, v: Numeric) -> Fraction:
         if isinstance(v, Fraction):
@@ -304,7 +307,11 @@ class RationalField:
         return v == 0
 
     def is_negligible(self, d, *ops) -> bool:
-        return d == 0
+        return False
+
+    @staticmethod
+    def is_finite(v) -> bool:
+        return True
 
     def value_divisor(self, d, *ops):
         return None if d == 0 else d
@@ -316,9 +323,9 @@ class RationalField:
 class CountingField(FloatField):
     """FloatField semantics with operation tallying.
 
-    Negligibility and floor decisions are inherited from FloatField and
-    made on the raw doubles, so they are free; only the arithmetic the
-    engine actually performs is counted.
+    Negligibility, finiteness and floor decisions are inherited from
+    FloatField and made on the raw doubles, so they are free; only the
+    arithmetic the engine actually performs is counted.
     """
 
     name = "counting"
@@ -375,7 +382,3 @@ def infer_field(values) -> "FloatField | RationalField | CountingField":
     if saw_float:
         return FloatField()
     return RationalField()
-
-
-def float_is_finite(v) -> bool:
-    return math.isfinite(_raw(v))

@@ -211,9 +211,5 @@ class SequencePair:
                 f"{2 * self.L + 1} are meaningful"
             )
 
-    @property
-    def complete(self) -> bool:
-        return len(self.u) == 2 * self.L + 1
-
     def infer_field(self):
         return infer_field(list(self.A) + list(self.u))

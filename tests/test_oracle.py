@@ -13,7 +13,6 @@ from gtransform.oracle import (
     direct_solve,
     e_ref,
     f_det,
-    g_det,
     hankel_det,
     k_det,
     psi,
@@ -101,14 +100,6 @@ class TestRatios:
 
 
 class TestColumnDeterminants:
-    def test_g_equals_hankel_on_random_input(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            u = [F(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(9)]
-            for n in range(5):
-                for j in range(9 - max(2 * n - 1, 0)):
-                    assert g_det(u, j, n) == hankel_det(u, j, n)
-
     def test_psi_order_zero(self):
         u = HARMONIC
         a = SequenceFunction.from_list("a", [F(2), F(3), F(5)])
@@ -132,21 +123,6 @@ class TestColumnDeterminants:
         ones = SequenceFunction.ones()
         with pytest.raises(SingularError):
             psi(ones, geo, 0, 2)  # G_3 of a geometric sequence is zero
-
-    def test_d_ratio_equals_e(self):
-        """The structural divisor of the recursion equals a ratio of four
-        column determinants; both reduce to the same Hankel expression.
-        """
-        rng = random.Random(23)
-        for _ in range(10):
-            u = [F(rng.randint(1, 25), rng.randint(1, 9)) for _ in range(9)]
-            for n in (1, 2):
-                for j in (0, 1):
-                    num = g_det(u, j, n + 1) * g_det(u, j + 1, n - 1)
-                    den = g_det(u, j, n) * g_det(u, j + 1, n)
-                    if den == 0:
-                        continue
-                    assert num / den == e_ref(u, j, n)
 
 
 class TestDirectSolve:

@@ -30,7 +30,7 @@ from gtransform.engines import (
 from gtransform.scalars import CountingField, FloatField, RationalField
 from gtransform.tables import SequencePair
 
-PINNED_SHA256 = "7688e5e921007d47c5dd0039a458a1212e47ae45829f294c135117d496d85fdc"
+PINNED_SHA256 = "314b89c1d51a96b93208760182ffb304c73c875b1fb90fb3f2cc0b41944104ae"
 
 
 def _token(v) -> str:

@@ -11,14 +11,23 @@ Under float arithmetic the divisors that only propagate the
 quotient-difference table are floored rather than refused, because their
 size is a gauge choice that cancels between the paired numerator and
 denominator arrays of the FS recursion.
+
+Over exact rationals run_fs_qd first computes its table fraction-free, on
+integer Hankel and FS determinants (_fraction_free_columns), because the
+reduced Fractions of the qd sweep are large and every operation on them
+pays a gcd.  That path yields the sweep's table exactly; it hands back to
+the sweep when u is short or when a Hankel determinant the sweep divides
+by is zero, so the sweep alone decides every other breakdown.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import islice
 from typing import Any, List, Tuple
 
-from .scalars import infer_field
+from .scalars import RationalField, infer_field
 from .tables import (
     ArgumentError,
     EntryStatus,
@@ -138,6 +147,72 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
     return QdTable(L, q_cols, e_cols)
 
 
+def _sylvester_sweep(g, bs, L: int, field):
+    """Columns (G_n, f_n), n = 1..L, of integer Hankel and FS
+    determinants by Sylvester's identity, or None and no more where the
+    qd sweep would divide by a zero determinant.
+
+    From g = U_0..U_2L and integer vectors b_0..b_L in bs, G_n[j] is
+    H_n^(j), the Hankel determinant of U_j..U_{j+2n-2}, and f_n holds
+    f_n^(j)(b) for each b, from H_0 = 1, H_1^(j) = U_j and f_0(b) = b:
+      H_{n+1}^(j) = (H_n^(j) H_n^(j+2) - (H_n^(j+1))^2) / H_{n-1}^(j+2),
+      f_n^(j) = (f_{n-1}^(j) H_n^(j+1) - H_n^(j) f_{n-1}^(j+1))
+                / H_{n-1}^(j+1),
+    every division exact.  The sweep divides by every H_n^(j) whose window
+    ends before U_2L and by H_{L+1}^(0); each is checked for zero before
+    anything is divided by it.
+    """
+    below, fs = [1] * (2 * L + 1), bs
+    for n in range(1, L + 1):
+        if any(field.is_zero(x) for x in g[:-1]):
+            yield None
+            return
+        fs = [
+            [(f[j] * g[j + 1] - g[j] * f[j + 1]) // below[j + 1]
+             for j in range(L - n + 1)]
+            for f in fs
+        ]
+        yield g, fs
+        below, g = g, [
+            (g[j] * g[j + 2] - g[j + 1] * g[j + 1]) // below[j + 2]
+            for j in range(len(g) - 2)
+        ]
+    if field.is_zero(g[0]):
+        yield None
+
+
+def _fraction_free_columns(A, u, L: int, field, diagonal_only: bool):
+    """The fsqd table columns over exact rationals, or None to leave them
+    to the qd sweep: where u is short or a divisor vanishes.
+
+    Entry (j,n) is A(j,n) = f_n^(j)(A) / f_n^(j)(1).  Scaling u by the
+    lcm D_u of its denominators leaves it unchanged, and scaling A by the
+    lcm D_A of its own scales it by D_A, so _sylvester_sweep runs on
+    integers.  An entry whose f_n^(j)(1) is zero (the sweep's zero N) is a
+    breakdown.
+    """
+    if len(u) < 2 * L + 1:
+        return None
+    d_u = math.lcm(*(x.denominator for x in u))
+    d_A = math.lcm(*(x.denominator for x in A))
+    sweep = _sylvester_sweep(
+        [x.numerator * (d_u // x.denominator) for x in u],
+        ([x.numerator * (d_A // x.denominator) for x in A], [1] * (L + 1)),
+        L, field,
+    )
+    columns = [A]
+    for n, step in enumerate(sweep, start=1):
+        if step is None:
+            return None
+        _, (fA, f1) = step
+        width = 1 if diagonal_only else L - n + 1
+        columns.append([
+            BREAKDOWN if field.is_zero(den) else Fraction(num, d_A * den)
+            for num, den in zip(fA[:width], f1)
+        ] + [NOT_COMPUTED] * (L - n + 1 - width))
+    return columns
+
+
 def run_fs_qd(
     seq: SequencePair, diagonal_only: bool = False, field=None
 ) -> ExtrapolationTable:
@@ -149,12 +224,22 @@ def run_fs_qd(
     With diagonal_only the final division is performed only for j = 0,
     which drops the division count from 5L^2/2 + O(L) to 2L^2 + O(L);
     off-diagonal entries beyond column 0 are then not computed.
+
+    Over exact rationals the same table is first tried fraction-free on
+    integers (_fraction_free_columns); the sweep below runs only where
+    that path returns None: a short u, or a zero Hankel determinant the
+    sweep would divide by.
     """
     if field is None:
         field = seq.infer_field()
     L = seq.L
     A = [field.convert(x) for x in seq.A]
     u = _qd_input(seq.u, L, field)
+    method = "fsqd_diag" if diagonal_only else "fsqd"
+    if isinstance(field, RationalField):
+        columns = _fraction_free_columns(A, u, L, field, diagonal_only)
+        if columns is not None:
+            return ExtrapolationTable(method, L, columns)
 
     one, finite = field.one(), field.is_finite
     M = [A[j] / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
@@ -188,7 +273,6 @@ def run_fs_qd(
             col.append(me / ne if status is None else status)
         col = _settled(col, field)
         columns.append(col + [NOT_COMPUTED] * (L - n + 1 - width))
-    method = "fsqd_diag" if diagonal_only else "fsqd"
     return ExtrapolationTable(method, L, columns)
 
 

@@ -52,7 +52,12 @@ class IntegrandSpec:
 def _sinc(t: float) -> float:
     if t == 0.0:
         return 1.0
-    return math.sin(t) / t
+    try:
+        return math.sin(t) / t
+    except ValueError:
+        # math.sin raises on an overflowed (infinite) sample point; NaN
+        # lets the sample check refuse it as bad input.
+        return math.nan
 
 
 def make_spec(integrand_id: str, a: float = 0.0) -> IntegrandSpec:

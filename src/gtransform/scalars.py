@@ -239,7 +239,13 @@ class FloatField:
 
     def convert(self, v: Numeric) -> float:
         if isinstance(v, str):
-            return float(rational_from_text(v))
+            exact = rational_from_text(v)
+            try:
+                return float(exact)
+            except OverflowError:
+                raise ParseError(
+                    f"outside the double range: {v.strip()!r}"
+                ) from None
         return _raw(v)
 
     def zero(self) -> float:

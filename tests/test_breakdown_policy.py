@@ -133,3 +133,20 @@ def test_integrate_sample_overflow_is_input_error(capsys, integrand):
 def test_float_text_goes_through_the_rational_parser(text):
     with pytest.raises(ParseError):
         FloatField().convert(text)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--x", "0", "--h", "1e308"],        # x + 2h overflows
+    ["--a=-1e308", "--x", "1e308"],      # the panel [a, x] is too wide
+], ids=["grid", "panel"])
+def test_integrate_sinc_sample_point_overflow_is_input_error(capsys, flags):
+    code = main(["integrate", "--integrand", "sinc", *flags, "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+def test_float_text_outside_the_double_range_is_parse_error():
+    with pytest.raises(ParseError, match="1e400"):
+        FloatField().convert("1e400")

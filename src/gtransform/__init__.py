@@ -60,7 +60,6 @@ from .quadrature import (
     make_spec,
     sample_F,
     simpson_panel,
-    spec_from_samples,
 )
 from .opbench import (
     METHODS,
@@ -122,7 +121,6 @@ __all__ = [
     "sample_F",
     "shanks_prepare",
     "simpson_panel",
-    "spec_from_samples",
     "with_counting",
     "run_equivalence_suite",
     "__version__",

@@ -2,9 +2,13 @@
 
 Subcommands: table (run an engine on a sequence file), integrate (the
 semi-infinite integral driver), bench (operation counts), check (the
-exact consistency suite).  Machine output is JSON on stdout; diagnostics
-go to stderr only.  Exit codes: 0 success, 2 input/parse error, 3 when
-every entry beyond column 0 broke down, 64 usage error.
+exact consistency suite).  Machine output is strict JSON on stdout;
+diagnostics go to stderr only.  Exit codes: 0 success, 2 input/parse
+error, 3 when every entry beyond column 0 broke down, 64 usage error.
+
+A table document is checked here only for its JSON shape; every value is
+turned into a number by the chosen field's convert, JSON floats as their
+literal text, so the CLI refuses exactly what the field refuses.
 """
 
 from __future__ import annotations
@@ -13,14 +17,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from .crosscheck import run_equivalence_suite
 from .engines import run_epsilon, run_fs_qd, run_rs, shanks_prepare
 from .opbench import METHODS, MIN_L, bench_method
 from .quadrature import ENGINES, QuadratureConfig, g_transform, make_spec
-from .scalars import FloatField, ParseError, RationalField, rational_from_text
+from .scalars import FloatField, ParseError, RationalField
 from .tables import (
     ArgumentError,
     ExtrapolationTable,
@@ -56,37 +59,36 @@ def _load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides json.JSONDecodeError: an integer literal longer than the
+        # interpreter's digit limit for int parsing, or nesting deeper
+        # than its recursion limit.
         raise _InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _InputError(f"{path}: top level must be an object")
     return doc
 
 
-def _parse_values(raw, field_name: str, exact: bool) -> list:
+def _parse_values(raw, field_name: str, fld) -> list:
+    """A document list of numbers, each turned into one by fld.convert.
+
+    JSON floats are passed as their repr text, so a literal is read at
+    face value (0.1 means 1/10 in exact mode), and NaN, Infinity and
+    overflowing literals such as 1e400 (read by json as non-finite floats)
+    fail to parse.
+    """
     if not isinstance(raw, list) or not raw:
         raise _InputError(f"field {field_name!r} must be a non-empty list")
     out = []
     for i, v in enumerate(raw):
+        # bool is an int subclass, but not a number in a document.
+        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+            raise _InputError(
+                f"{field_name}[{i}]: unsupported type {type(v).__name__}"
+            )
         try:
-            if isinstance(v, str):
-                val = rational_from_text(v)
-            elif isinstance(v, bool):
-                raise ParseError("booleans are not numbers")
-            elif isinstance(v, int):
-                val = Fraction(v)
-            elif isinstance(v, float):
-                # json reads NaN, Infinity and overflowing literals such
-                # as 1e400 as non-finite floats.
-                if not math.isfinite(v):
-                    raise ParseError(f"not a finite number: {v!r}")
-                # Read decimal literals at face value so 0.1 means 1/10
-                # in exact mode.
-                val = Fraction(repr(v))
-            else:
-                raise ParseError(f"unsupported type {type(v).__name__}")
-            out.append(val if exact else float(val))
-        except (ParseError, OverflowError) as exc:
+            out.append(fld.convert(repr(v) if isinstance(v, float) else v))
+        except ParseError as exc:
             raise _InputError(f"{field_name}[{i}]: {exc}") from None
     return out
 
@@ -129,7 +131,9 @@ def _emit(doc: Dict[str, Any], args) -> None:
         text = _render_text(doc, full=getattr(args, "full", False))
         payload = text
     else:
-        payload = json.dumps(doc, indent=2) + "\n"
+        # A non-finite number raises ValueError rather than being written
+        # as a NaN or Infinity token, which is not JSON.
+        payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     out_path = getattr(args, "output", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -170,7 +174,8 @@ def _render_text(doc: Dict[str, Any], full: bool) -> str:
 def cmd_table(args) -> int:
     doc = _load_document(args.input)
     exact = args.exact
-    A = _parse_values(doc.get("A"), "A", exact)
+    fld = RationalField() if exact else FloatField()
+    A = _parse_values(doc.get("A"), "A", fld)
     mode = doc.get("mode")
     has_u = "u" in doc and doc["u"] is not None
     if mode is None:
@@ -180,22 +185,23 @@ def cmd_table(args) -> int:
     if mode == "shanks" and has_u:
         raise _InputError("field 'u' must be absent in shanks mode")
 
-    fld = RationalField() if exact else FloatField()
     if args.method == "eps":
         table = run_epsilon(A, field=fld)
     else:
         if mode == "shanks":
             seq = shanks_prepare(A, field=fld)
         else:
-            u = _parse_values(doc.get("u"), "u", exact)
-            try:
-                seq = SequencePair(A=A, u=u)
-            except ArgumentError as exc:
-                raise _InputError(f"field 'u': {exc}") from None
-        if args.method == "fsqd":
-            table = run_fs_qd(seq, diagonal_only=args.diagonal_only, field=fld)
-        else:
-            _, table = run_rs(seq, field=fld)
+            seq = SequencePair(A=A, u=_parse_values(doc.get("u"), "u", fld))
+        try:
+            if args.method == "fsqd":
+                table = run_fs_qd(
+                    seq, diagonal_only=args.diagonal_only, field=fld
+                )
+            else:
+                _, table = run_rs(seq, field=fld)
+        except ArgumentError as exc:
+            # A holds L+1 values, so only an overlong u is refused here.
+            raise _InputError(f"field 'u': {exc}") from None
 
     out = _table_document(table, exact)
     _emit(out, args)

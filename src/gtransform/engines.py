@@ -12,6 +12,13 @@ quotient-difference table are floored rather than refused, because their
 size is a gauge choice that cancels between the paired numerator and
 denominator arrays of the FS recursion.
 
+All five entry points (run_fs_qd, run_rs, build_qd_table, run_epsilon,
+shanks_prepare) take their input through one helper, _input: it infers
+the field when none is given, turns every value into a number through
+the field's convert, and holds the input rules.  A is not empty; u has
+no zero and is not longer than 2L+1; a shorter u, empty included, leaves
+the entries that need its missing tail not computed.
+
 Over exact rationals run_fs_qd first computes its table fraction-free, on
 integer Hankel and FS determinants (_fraction_free_columns), because the
 reduced Fractions of the qd sweep are large and every operation on them
@@ -67,28 +74,34 @@ def _settled(col, field) -> list:
     ]
 
 
-def _check_u_nonzero(u, field) -> None:
+def _input(field, L: int, A, u=()):
+    """The field (inferred from A and u when None), and A and u converted
+    through its convert: the one input path of every engine.
+
+    L must be non-negative; the callers derive it from A, so an empty A
+    is refused here.  u may be shorter than 2L+1, empty included: the
+    entries that need its missing tail are then not computed.  A longer u
+    is an error, and every u value must be nonzero, as the recursions
+    divide by each.
+    """
+    if L < 0:
+        raise ArgumentError(f"L = {L}: A must hold at least one value")
+    if len(u) > 2 * L + 1:
+        raise ArgumentError(
+            f"u holds {len(u)} values but at most 2L+1 = {2 * L + 1} are "
+            f"meaningful"
+        )
+    if field is None:
+        field = infer_field([*A, *u])
+    A = [field.convert(x) for x in A]
+    u = [field.convert(x) for x in u]
     for i, x in enumerate(u):
         if field.is_zero(x):
             raise InitializationError(
                 f"u[{i}] is zero; the recursion needs every u value "
                 f"nonzero as an initial divisor"
             )
-
-
-def _qd_input(u, L: int, field) -> list:
-    """u_0..u_2L checked for length, converted and checked nonzero."""
-    if L < 0:
-        raise ArgumentError(f"L must be non-negative, got {L}")
-    if len(u) == 0 and L > 0:
-        raise ArgumentError("u must not be empty")
-    if len(u) > 2 * L + 1:
-        raise ArgumentError(
-            f"u holds {len(u)} values but 2L+1 = {2 * L + 1} expected"
-        )
-    u = [field.convert(x) for x in u]
-    _check_u_nonzero(u, field)
-    return u
+    return field, A, u
 
 
 def _qd_sweep(u, L: int, field):
@@ -138,10 +151,9 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
     _qd_sweep).  A short u (fewer than 2L+1 values) leaves the entries
     that would need the missing tail not-computed; a longer u is an
     error."""
-    if field is None:
-        field = infer_field(u)
+    field, _, u = _input(field, L, (), u)
     q_cols, e_cols = [], []
-    for q, e, _ in _qd_sweep(_qd_input(u, L, field), L, field):
+    for q, e, _ in _qd_sweep(u, L, field):
         q_cols.append(q)
         e_cols.append(e)
     return QdTable(L, q_cols, e_cols)
@@ -230,11 +242,8 @@ def run_fs_qd(
     that path returns None: a short u, or a zero Hankel determinant the
     sweep would divide by.
     """
-    if field is None:
-        field = seq.infer_field()
     L = seq.L
-    A = [field.convert(x) for x in seq.A]
-    u = _qd_input(seq.u, L, field)
+    field, A, u = _input(field, L, seq.A, seq.u)
     method = "fsqd_diag" if diagonal_only else "fsqd"
     if isinstance(field, RationalField):
         columns = _fraction_free_columns(A, u, L, field, diagonal_only)
@@ -313,12 +322,8 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     marked breakdown at creation; exact zeros in the exact field stay
     valid values and only fail where actually divided by.
     """
-    if field is None:
-        field = seq.infer_field()
     L = seq.L
-    A = [field.convert(x) for x in seq.A]
-    u = [field.convert(x) for x in seq.u]
-    _check_u_nonzero(u, field)
+    field, A, u = _input(field, L, seq.A, seq.u)
 
     one = field.one()
     s_cols = [[one] * (2 * L + 2)]
@@ -361,11 +366,8 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     A vanishing difference or a value that is not finite marks the entry,
     and every entry that depends on it, breakdown.
     """
-    if len(A) == 0:
-        raise ArgumentError("A must not be empty")
-    if field is None:
-        field = infer_field(A)
-    vals = [field.convert(x) for x in A]
+    L = (len(A) - 1) // 2
+    field, vals, _ = _input(field, L, A)
     total = len(vals) - 1
 
     one = field.one()
@@ -384,7 +386,7 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
         prev, cur = cur, _settled(nxt, field)
         if k % 2 == 1:
             columns.append(cur)
-    return ExtrapolationTable("eps", total // 2, columns)
+    return ExtrapolationTable("eps", L, columns)
 
 
 def shanks_prepare(A, field=None) -> SequencePair:
@@ -400,12 +402,8 @@ def shanks_prepare(A, field=None) -> SequencePair:
     even-length input needs no pad.  A zero difference is refused here
     so downstream initialization never sees a zero divisor.
     """
-    if len(A) == 0:
-        raise ArgumentError("A must not be empty")
-    if field is None:
-        field = infer_field(A)
-    vals = [field.convert(x) for x in A]
-    L = (len(vals) - 1) // 2
+    L = (len(A) - 1) // 2
+    field, vals, _ = _input(field, L, A)
 
     u: List[Any] = []
     for k in range(len(vals) - 1):

@@ -31,11 +31,9 @@ class IntegrandSpec:
 
     id: str
     a: float
-    f: Optional[Callable[[float], float]] = None
+    f: Callable[[float], float]
     F_closed: Optional[Callable[[float], float]] = None
     reference: Optional[float] = None
-    F_samples: Optional[List[float]] = None
-    f_samples: Optional[List[float]] = None
 
     def __post_init__(self) -> None:
         if self.reference is not None and not math.isfinite(self.reference):
@@ -43,10 +41,6 @@ class IntegrandSpec:
                 f"the {self.id} integral from a = {self.a} overflows the "
                 f"double range"
             )
-
-    @property
-    def tabular(self) -> bool:
-        return self.F_samples is not None
 
 
 def _sinc(t: float) -> float:
@@ -94,23 +88,7 @@ def make_spec(integrand_id: str, a: float = 0.0) -> IntegrandSpec:
         )
     raise ArgumentError(
         f"unknown integrand {integrand_id!r}; catalog: "
-        f"exp_decay, t_exp, sinc (or build a table spec from samples)"
-    )
-
-
-def spec_from_samples(
-    F_samples: List[float],
-    f_samples: List[float],
-    a: float = 0.0,
-    reference: Optional[float] = None,
-) -> IntegrandSpec:
-    """A spec backed by user-supplied samples already on the x+ih grid."""
-    return IntegrandSpec(
-        id="table",
-        a=a,
-        reference=reference,
-        F_samples=list(F_samples),
-        f_samples=list(f_samples),
+        "exp_decay, t_exp, sinc"
     )
 
 
@@ -165,13 +143,6 @@ def sample_F(
         raise ArgumentError(f"count must be >= 1, got {count}")
     if h <= 0:
         raise ArgumentError(f"h must be positive, got {h}")
-    if spec.tabular:
-        if count > len(spec.F_samples):
-            raise ArgumentError(
-                f"table spec holds {len(spec.F_samples)} F samples, "
-                f"{count} requested"
-            )
-        return list(spec.F_samples[:count])
     if x < spec.a:
         raise ArgumentError(f"x = {x} lies below the lower limit a = {spec.a}")
     if cfg.analytic_F and spec.F_closed is not None:
@@ -206,17 +177,6 @@ class GTransformResult:
             (float(e.value) if e.valid else None)
             for e in self.table.diagonal()
         ]
-
-
-def _f_samples(spec: IntegrandSpec, x: float, h: float, count: int) -> List[float]:
-    if spec.tabular:
-        if count > len(spec.f_samples):
-            raise ArgumentError(
-                f"table spec holds {len(spec.f_samples)} f samples, "
-                f"{count} requested"
-            )
-        return list(spec.f_samples[:count])
-    return [spec.f(x + i * h) for i in range(count)]
 
 
 def _check_finite(name: str, vals: List[float], x: float, h: float) -> None:
@@ -260,7 +220,7 @@ def g_transform(
     if engine == "eps":
         table = run_epsilon(F_vals)
     else:
-        u_vals = _f_samples(spec, x, h, 2 * n_max + 1)
+        u_vals = [spec.f(x + i * h) for i in range(2 * n_max + 1)]
         _check_finite("f", u_vals, x, h)
         for i, val in enumerate(u_vals):
             if val == 0.0:

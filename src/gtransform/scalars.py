@@ -7,6 +7,14 @@ never test a divisor or a value themselves.  They ask the field whether a
 divisor is refused (value_divisor, is_zero), floored (structural_divisor)
 or cancelled to roundoff (is_negligible), and whether a value they would
 report is finite (is_finite).
+
+A field's convert is also the one place that turns input into numbers:
+text goes through rational_from_text, and every value it cannot represent
+(text that is not a rational number, an int or Fraction outside the
+double range for a float field, a NaN or infinite float for the exact
+field, an unsupported type) raises ParseError.  convert does not refuse
+a non-finite float in the float fields; the breakdown policy above
+decides what becomes of it.
 """
 
 from __future__ import annotations
@@ -238,15 +246,14 @@ class FloatField:
     is_finite = staticmethod(math.isfinite)
 
     def convert(self, v: Numeric) -> float:
-        if isinstance(v, str):
-            exact = rational_from_text(v)
-            try:
-                return float(exact)
-            except OverflowError:
-                raise ParseError(
-                    f"outside the double range: {v.strip()!r}"
-                ) from None
-        return _raw(v)
+        try:
+            return _raw(rational_from_text(v) if isinstance(v, str) else v)
+        except OverflowError:
+            raise ParseError(f"outside the double range: {v!r}") from None
+        except TypeError:
+            raise ParseError(
+                f"cannot convert {type(v).__name__} to a float"
+            ) from None
 
     def zero(self) -> float:
         return 0.0
@@ -293,15 +300,18 @@ class RationalField:
     def convert(self, v: Numeric) -> Fraction:
         if isinstance(v, Fraction):
             return v
-        if isinstance(v, int):
-            return Fraction(v)
         if isinstance(v, str):
             return rational_from_text(v)
-        if isinstance(v, float):
-            return Fraction(v)
         if isinstance(v, CountingScalar):
-            return Fraction(v.value)
-        raise ScalarError(f"cannot convert {type(v).__name__} to a rational")
+            v = v.value
+        if not isinstance(v, (int, float)):
+            raise ParseError(
+                f"cannot convert {type(v).__name__} to a rational"
+            )
+        try:
+            return Fraction(v)
+        except (OverflowError, ValueError):
+            raise ParseError(f"not a finite number: {v!r}") from None
 
     def zero(self) -> Fraction:
         return Fraction(0)

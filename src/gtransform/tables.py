@@ -17,8 +17,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Tuple
 
-from .scalars import infer_field
-
 
 class ArgumentError(ValueError):
     """A structurally invalid argument (bad lengths, out-of-range index)."""
@@ -187,9 +185,10 @@ class RsTable:
 class SequencePair:
     """The inputs A_0..A_L and u_0..u_2L of the defining linear system.
 
-    u may be shorter than 2L+1 (general-mode file input); engines then mark
-    entries that would need the missing tail as not-computed.  A longer u
-    is rejected outright.
+    Only the length of A is checked here; every engine checks and converts
+    the values in one place (engines._input).  u may be shorter than 2L+1,
+    empty included; engines then mark the entries that would need the
+    missing tail as not computed.  A longer u is an error.
     """
 
     A: List[Any]
@@ -203,13 +202,3 @@ class SequencePair:
             raise ArgumentError(
                 f"A must hold L+1 = {self.L + 1} values, got {len(self.A)}"
             )
-        if self.L < 0:
-            raise ArgumentError("A must not be empty")
-        if len(self.u) > 2 * self.L + 1:
-            raise ArgumentError(
-                f"u holds {len(self.u)} values but at most 2L+1 = "
-                f"{2 * self.L + 1} are meaningful"
-            )
-
-    def infer_field(self):
-        return infer_field(list(self.A) + list(self.u))

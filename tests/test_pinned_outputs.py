@@ -30,7 +30,7 @@ from gtransform.engines import (
 from gtransform.scalars import CountingField, FloatField, RationalField
 from gtransform.tables import SequencePair
 
-PINNED_SHA256 = "314b89c1d51a96b93208760182ffb304c73c875b1fb90fb3f2cc0b41944104ae"
+PINNED_SHA256 = "00c54a2e9205281659813a274404ed961ffc31c63f039818b9736ec2c47394e0"
 
 
 def _token(v) -> str:

@@ -13,7 +13,6 @@ from gtransform.quadrature import (
     make_spec,
     sample_F,
     simpson_panel,
-    spec_from_samples,
 )
 from gtransform.tables import ArgumentError, InitializationError
 
@@ -59,12 +58,6 @@ class TestSampleF:
         spec = make_spec("exp_decay", a=1.0)
         with pytest.raises(ArgumentError):
             sample_F(spec, 0.5, 1.0, 2, QuadratureConfig())
-
-    def test_tabular_spec_slices_stored_samples(self):
-        F_samples = [0.0, 0.5, 0.75, 0.875]
-        f_samples = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]
-        spec = spec_from_samples(F_samples, f_samples, a=0.0, reference=1.0)
-        assert sample_F(spec, 0.0, 1.0, 3, QuadratureConfig()) == [0.0, 0.5, 0.75]
 
 
 class TestSimpsonPanel:

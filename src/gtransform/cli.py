@@ -3,12 +3,16 @@
 Subcommands: table (run an engine on a sequence file), integrate (the
 semi-infinite integral driver), bench (operation counts), check (the
 exact consistency suite).  Machine output is strict JSON on stdout;
-diagnostics go to stderr only.  Exit codes: 0 success, 2 input/parse
-error, 3 when every entry beyond column 0 broke down, 64 usage error.
+diagnostics go to stderr only; table and integrate can render text
+instead (--format, --full).  Exit codes: 0 success, 2 input/parse error,
+3 when every entry beyond column 0 broke down, 64 usage error.  The parser
+is built once, when this module is imported.
 
 A table document is checked here only for its JSON shape; every value is
 turned into a number by the chosen field's convert, JSON floats as their
-literal text, so the CLI refuses exactly what the field refuses.
+literal text, so the CLI refuses exactly what the field refuses.  An exact
+result longer than the interpreter's digit limit for writing an int (4300
+by default) is an input error too.
 """
 
 from __future__ import annotations
@@ -24,12 +28,8 @@ from .engines import run_epsilon, run_fs_qd, run_rs, shanks_prepare
 from .opbench import METHODS, MIN_L, bench_method
 from .quadrature import ENGINES, QuadratureConfig, g_transform, make_spec
 from .scalars import FloatField, ParseError, RationalField
-from .tables import (
-    ArgumentError,
-    ExtrapolationTable,
-    InitializationError,
-    SequencePair,
-)
+from .tables import (ArgumentError, ExtrapolationTable, InitializationError,
+                     SequencePair)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -38,8 +38,7 @@ EXIT_USAGE = 64
 
 
 class _UsageError(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,50 +92,31 @@ def _parse_values(raw, field_name: str, fld) -> list:
     return out
 
 
-def _serialize_value(v, exact: bool):
-    if v is None:
-        return None
-    if exact:
-        return str(v)
-    return float(v)
-
-
 def _table_document(table: ExtrapolationTable, exact: bool) -> Dict[str, Any]:
-    rows = []
-    for (j, n), entry in table.items():
-        rows.append(
-            {
-                "j": j,
-                "n": n,
-                "value": _serialize_value(entry.value, exact)
-                if entry.valid
-                else None,
-                "status": entry.status.value,
-            }
-        )
-    diagonal = [
-        _serialize_value(e.value, exact) if e.valid else None
-        for e in table.diagonal()
-    ]
-    return {
-        "method": table.method,
-        "L": table.limit,
-        "table": rows,
-        "diagonal": diagonal,
-    }
+    write = str if exact else float
+    try:
+        rows = [{"j": j, "n": n, "value": write(e.value) if e.valid else None,
+                 "status": e.status.value} for (j, n), e in table.items()]
+        diagonal = [write(e.value) if e.valid else None
+                    for e in table.diagonal()]
+    except ValueError:  # str() of an int longer than the digit limit
+        raise _InputError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit for writing an integer"
+        ) from None
+    return {"method": table.method, "L": table.limit, "table": rows,
+            "diagonal": diagonal}
 
 
 def _emit(doc: Dict[str, Any], args) -> None:
     if getattr(args, "format", "json") == "text":
-        text = _render_text(doc, full=getattr(args, "full", False))
-        payload = text
+        payload = _render_text(doc, full=args.full)
     else:
         # A non-finite number raises ValueError rather than being written
         # as a NaN or Infinity token, which is not JSON.
         payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    out_path = getattr(args, "output", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -236,14 +216,13 @@ def cmd_integrate(args) -> int:
     doc["x"] = result.x
     doc["h"] = result.h
     doc["reference"] = result.reference
-    if result.errors is not None:
-        diag_errors: List[Optional[float]] = []
-        for n in range(result.table.limit + 1):
-            diag_errors.append(result.errors.get((0, n)))
-        doc["errors"] = diag_errors
-    else:
+    if result.errors is None:
         doc["errors"] = None
         doc["diagonal_deltas"] = result.diagonal_deltas
+    else:
+        doc["errors"] = [
+            result.errors.get((0, n)) for n in range(result.table.limit + 1)
+        ]
     _emit(doc, args)
     if result.table.all_beyond_first_column_broken():
         return EXIT_ALL_BREAKDOWN
@@ -284,21 +263,25 @@ def cmd_check(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gtransform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the output here instead of stdout")
+    render = argparse.ArgumentParser(add_help=False)
+    render.add_argument("--format", choices=("json", "text"), default="json")
+    render.add_argument("--full", action="store_true",
+                        help="text format: include the full table")
 
-    p_table = sub.add_parser("table", help="run an engine on a sequence file")
+    p_table = sub.add_parser("table", help="run an engine on a sequence file",
+                             parents=[output, render])
     p_table.add_argument("--input", required=True, help="InputDocument JSON path")
     p_table.add_argument("--method", required=True, choices=("fsqd", "rs", "eps"))
     p_table.add_argument("--exact", action="store_true",
                          help="exact rational arithmetic")
     p_table.add_argument("--diagonal-only", action="store_true",
                          help="restrict final divisions to the diagonal")
-    p_table.add_argument("--output", help="write JSON here instead of stdout")
-    p_table.add_argument("--format", choices=("json", "text"), default="json")
-    p_table.add_argument("--full", action="store_true",
-                         help="text format: include the full table")
     p_table.set_defaults(fn=cmd_table)
 
-    p_int = sub.add_parser("integrate", help="accelerate a semi-infinite integral")
+    p_int = sub.add_parser("integrate", help="accelerate a semi-infinite integral",
+                           parents=[output, render])
     p_int.add_argument("--integrand", required=True,
                        choices=("exp_decay", "t_exp", "sinc"))
     p_int.add_argument("--a", type=_finite_float, default=0.0,
@@ -313,48 +296,41 @@ def _build_parser() -> _Parser:
                        help="Simpson subdivisions per panel")
     p_int.add_argument("--analytic-f", action="store_true", dest="analytic_f",
                        help="use the closed-form running integral when known")
-    p_int.add_argument("--output", help="write JSON here instead of stdout")
-    p_int.add_argument("--format", choices=("json", "text"), default="json")
-    p_int.add_argument("--full", action="store_true")
     p_int.set_defaults(fn=cmd_integrate)
 
-    p_bench = sub.add_parser("bench", help="operation-count benchmark")
+    p_bench = sub.add_parser("bench", help="operation-count benchmark",
+                             parents=[output])
     p_bench.add_argument("--method", required=True, choices=METHODS)
     p_bench.add_argument("--L", type=int, required=True,
                          help=f"table size, at least {MIN_L}")
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--output", help="write JSON here instead of stdout")
-    p_bench.add_argument("--format", choices=("json", "text"), default="json")
     p_bench.set_defaults(fn=cmd_bench)
 
-    p_check = sub.add_parser("check", help="exact consistency suite")
+    p_check = sub.add_parser("check", help="exact consistency suite",
+                             parents=[output])
     p_check.add_argument("--L", type=int, default=4)
     p_check.add_argument("--cases", type=int, default=20)
     p_check.add_argument("--seed", type=int, default=7)
-    p_check.add_argument("--output", help="write JSON here instead of stdout")
-    p_check.add_argument("--format", choices=("json", "text"), default="json")
     p_check.set_defaults(fn=cmd_check)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"gtransform: usage error: {exc}\n")
-        return EXIT_USAGE
-    try:
+        args = _PARSER.parse_args(argv)
+        # Before Python 3.12 argparse stores "--opt=--" as an empty list.
+        if [] in vars(args).values():
+            raise _UsageError("an option was given '--' as its value")
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, ArgumentError) as exc:
         sys.stderr.write(f"gtransform: usage error: {exc}\n")
         return EXIT_USAGE
     except (_InputError, InitializationError, ParseError) as exc:
         sys.stderr.write(f"gtransform: input error: {exc}\n")
         return EXIT_INPUT
-    except ArgumentError as exc:
-        sys.stderr.write(f"gtransform: usage error: {exc}\n")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -111,46 +111,40 @@ def check_epsilon_identity_case(A: List[Fraction]) -> Optional[str]:
     return None
 
 
+def _check_ratios(u, stored) -> Optional[str]:
+    """Compare stored entries with their determinant-ratio definitions.
+
+    stored holds (name, array, reference, index range).  Every reference is
+    computed before any comparison: a zero determinant anywhere is a zero
+    divisor of the recursion, so the case is redrawn rather than reported
+    for the breakdown it causes further on."""
+    try:
+        wants = [(name, j, n, array.get(j, n), ref(u, j, n))
+                 for name, array, ref, index in stored for j, n in index]
+    except oracle.SingularError:
+        raise _Degenerate() from None
+    for name, j, n, got, want in wants:
+        if not got.valid or got.value != want:
+            return f"{name}[{j}][{n}] = {got.value} but ratio gives {want} on u={u}"
+    return None
+
+
 def check_qd_identity_case(u: List[Fraction], L: int) -> Optional[str]:
     """Every stored qd entry must equal its Hankel-ratio definition."""
     table = build_qd_table(u, L, field=_FIELD)
-    try:
-        for j, n in QdTable.e_range(L):
-            if n == 0:
-                continue
-            want = oracle.e_ref(u, j, n)
-            got = table.e.get(j, n)
-            if not got.valid or got.value != want:
-                return f"e[{j}][{n}] = {got.value} but ratio gives {want} on u={u}"
-        for j, n in QdTable.q_range(L):
-            want = oracle.q_ref(u, j, n)
-            got = table.q.get(j, n)
-            if not got.valid or got.value != want:
-                return f"q[{j}][{n}] = {got.value} but ratio gives {want} on u={u}"
-    except oracle.SingularError:
-        raise _Degenerate() from None
-    return None
+    e_index = [(j, n) for j, n in QdTable.e_range(L) if n != 0]
+    return _check_ratios(u, [("e", table.e, oracle.e_ref, e_index),
+                             ("q", table.q, oracle.q_ref, QdTable.q_range(L))])
 
 
 def check_rs_identity_case(seq: SequencePair) -> Optional[str]:
     """Every stored r and s entry must equal its determinant-ratio
     definition."""
     tbl, _ = run_rs(seq, field=_FIELD)
-    u = seq.u
-    try:
-        for j, n in RsTable.r_range(seq.L):
-            want = oracle.r_ref(u, j, n)
-            got = tbl.r.get(j, n)
-            if not got.valid or got.value != want:
-                return f"r[{j}][{n}] = {got.value} but ratio gives {want} on u={u}"
-        for j, n in RsTable.s_range(seq.L):
-            want = oracle.s_ref(u, j, n)
-            got = tbl.s.get(j, n)
-            if not got.valid or got.value != want:
-                return f"s[{j}][{n}] = {got.value} but ratio gives {want} on u={u}"
-    except oracle.SingularError:
-        raise _Degenerate() from None
-    return None
+    return _check_ratios(seq.u, [
+        ("r", tbl.r, oracle.r_ref, RsTable.r_range(seq.L)),
+        ("s", tbl.s, oracle.s_ref, RsTable.s_range(seq.L)),
+    ])
 
 
 def _run_with_redraw(report: CheckReport, rng, draw, check, cases: int,

@@ -20,6 +20,7 @@ decides what becomes of it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -36,6 +37,13 @@ EPS = 2.0 ** -52
 FLOOR_MIN = EPS * EPS
 
 Numeric = Union[int, float, Fraction, "CountingScalar"]
+
+# Largest decimal exponent number text may carry: Fraction builds 10**exp
+# in full, so an unbounded exponent costs unbounded time and memory.  4300
+# is the interpreter's default digit limit for int parsing, which already
+# bounds the mantissa and the JSON integer literals.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[-+]?[\d_.]*[eE][-+]?([\d_]+)")
 
 
 class ScalarError(ValueError):
@@ -61,12 +69,21 @@ class BreakdownError(ScalarError):
 def rational_from_text(text: str) -> Fraction:
     """Parse an integer, a fraction "p/q", or a finite decimal exactly.
 
-    "4/6" reduces to 2/3, "0.25" becomes 1/4.  A zero denominator or
-    malformed text raises ParseError naming the offending token.
+    "4/6" reduces to 2/3, "0.25" becomes 1/4.  A zero denominator, a
+    decimal exponent beyond MAX_EXPONENT in magnitude or malformed text
+    raises ParseError naming the offending token.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected text, got {type(text).__name__}: {text!r}")
     stripped = text.strip()
+    m = _EXPONENT.fullmatch(stripped)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        # Compare the length first: int() refuses over-long digit strings.
+        if len(digits) > 5 or int(digits or "0") > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent beyond {MAX_EXPONENT} in {stripped!r}"
+            )
     try:
         return Fraction(stripped)
     except ZeroDivisionError:
@@ -114,7 +131,9 @@ class CountingScalar:
 
     Negation, absolute value and comparisons are free.  Arithmetic is
     performed on the wrapped doubles directly, so results are bit-identical
-    to running the same computation on plain floats.
+    to running the same computation on plain floats.  Both operands of an
+    arithmetic operation must be CountingScalars (build them through
+    CountingField); mixing in a plain number raises TypeError.
     """
 
     __slots__ = ("value", "ctx")
@@ -123,55 +142,26 @@ class CountingScalar:
         self.value = float(value)
         self.ctx = ctx
 
-    def _lift(self, other) -> "CountingScalar":
-        if isinstance(other, CountingScalar):
-            return other
-        if isinstance(other, (int, float)):
-            return CountingScalar(float(other), self.ctx)
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, CountingScalar):
             return NotImplemented
         self.ctx.counts.additions += 1
         return CountingScalar(self.value + other.value, self.ctx)
 
-    def __radd__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__add__(self)
-
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, CountingScalar):
             return NotImplemented
         self.ctx.counts.additions += 1
         return CountingScalar(self.value - other.value, self.ctx)
 
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
-
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, CountingScalar):
             return NotImplemented
         self.ctx.counts.multiplications += 1
         return CountingScalar(self.value * other.value, self.ctx)
 
-    def __rmul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__mul__(self)
-
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
+        if not isinstance(other, CountingScalar):
             return NotImplemented
         if other.value == 0.0:
             raise BreakdownError(
@@ -180,12 +170,6 @@ class CountingScalar:
             )
         self.ctx.counts.divisions += 1
         return CountingScalar(self.value / other.value, self.ctx)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
 
     def __neg__(self):
         return CountingScalar(-self.value, self.ctx)

@@ -9,7 +9,6 @@ arithmetic layer that counts operations per method.
 """
 
 from .scalars import (
-    BreakdownError,
     CountingField,
     CountingScalar,
     FloatField,
@@ -18,7 +17,6 @@ from .scalars import (
     RationalField,
     ScalarError,
     rational_from_text,
-    with_counting,
 )
 from .tables import (
     ArgumentError,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentError",
     "BenchReport",
-    "BreakdownError",
     "CheckReport",
     "CountingField",
     "CountingScalar",
@@ -121,7 +118,6 @@ __all__ = [
     "sample_F",
     "shanks_prepare",
     "simpson_panel",
-    "with_counting",
     "run_equivalence_suite",
     "__version__",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -42,7 +43,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 64."""
+    """argparse with usage failures mapped to exit code 64, and a token
+    that starts like a negative number (-1e3, -.5, -inf) read as a value:
+    older argparse reads only -123 and -1.5 as one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
 
     def error(self, message):
         raise _UsageError(message)
@@ -245,6 +252,8 @@ def cmd_check(args) -> int:
         raise _UsageError(f"check is capped at L <= 5, got {args.L}")
     if args.L < 1:
         raise _UsageError(f"L must be >= 1, got {args.L}")
+    if args.cases < 1:
+        raise _UsageError(f"cases must be >= 1, got {args.cases}")
     report = run_equivalence_suite(L=args.L, cases=args.cases, seed=args.seed)
     doc = {
         "cases": report.cases,

@@ -16,7 +16,7 @@ from typing import List, Optional
 from . import oracle
 from .engines import build_qd_table, run_epsilon, run_fs_qd, run_rs, shanks_prepare
 from .scalars import RationalField
-from .tables import EntryStatus, InitializationError, QdTable, RsTable, SequencePair
+from .tables import EntryStatus, InitializationError, SequencePair
 
 _FIELD = RationalField()
 
@@ -114,13 +114,15 @@ def check_epsilon_identity_case(A: List[Fraction]) -> Optional[str]:
 def _check_ratios(u, stored) -> Optional[str]:
     """Compare stored entries with their determinant-ratio definitions.
 
-    stored holds (name, array, reference, index range).  Every reference is
-    computed before any comparison: a zero determinant anywhere is a zero
-    divisor of the recursion, so the case is redrawn rather than reported
-    for the breakdown it causes further on."""
+    stored holds (name, array, reference, first): every entry of array in
+    a column n >= first is checked.  Every reference is computed before
+    any comparison: a zero determinant anywhere is a zero divisor of the
+    recursion, so the case is redrawn rather than reported for the
+    breakdown it causes further on."""
     try:
-        wants = [(name, j, n, array.get(j, n), ref(u, j, n))
-                 for name, array, ref, index in stored for j, n in index]
+        wants = [(name, j, n, got, ref(u, j, n))
+                 for name, array, ref, first in stored
+                 for (j, n), got in array.items() if n >= first]
     except oracle.SingularError:
         raise _Degenerate() from None
     for name, j, n, got, want in wants:
@@ -130,11 +132,11 @@ def _check_ratios(u, stored) -> Optional[str]:
 
 
 def check_qd_identity_case(u: List[Fraction], L: int) -> Optional[str]:
-    """Every stored qd entry must equal its Hankel-ratio definition."""
+    """Every stored qd entry must equal its Hankel-ratio definition (e's
+    column 0 holds the zeros the recursion starts from)."""
     table = build_qd_table(u, L, field=_FIELD)
-    e_index = [(j, n) for j, n in QdTable.e_range(L) if n != 0]
-    return _check_ratios(u, [("e", table.e, oracle.e_ref, e_index),
-                             ("q", table.q, oracle.q_ref, QdTable.q_range(L))])
+    return _check_ratios(u, [("e", table.e, oracle.e_ref, 1),
+                             ("q", table.q, oracle.q_ref, 0)])
 
 
 def check_rs_identity_case(seq: SequencePair) -> Optional[str]:
@@ -142,8 +144,8 @@ def check_rs_identity_case(seq: SequencePair) -> Optional[str]:
     definition."""
     tbl, _ = run_rs(seq, field=_FIELD)
     return _check_ratios(seq.u, [
-        ("r", tbl.r, oracle.r_ref, RsTable.r_range(seq.L)),
-        ("s", tbl.s, oracle.s_ref, RsTable.s_range(seq.L)),
+        ("r", tbl.r, oracle.r_ref, 0),
+        ("s", tbl.s, oracle.s_ref, 0),
     ])
 
 

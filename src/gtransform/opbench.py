@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .engines import run_epsilon, run_fs_qd, run_rs
-from .scalars import BreakdownError, CountingContext, CountingField, OpCounts
+from .scalars import CountingField, OpCounts
 from .tables import ArgumentError, EntryStatus, SequencePair
 
 METHODS = ("fsqd", "fsqd_diag", "rs", "eps")
@@ -58,35 +58,28 @@ def bench_on(
 
     Input conversion and status bookkeeping are free; only the arithmetic
     in the engine recursions is tallied.  A breakdown anywhere in the run
-    flags the report invalid; the counts then cover the work done up to
-    the degenerate region.
+    flags the report invalid; the counts then omit the arithmetic of the
+    entries that broke down.
     """
     if method not in METHODS:
         raise ArgumentError(
             f"unknown method {method!r}; choose from {', '.join(METHODS)}"
         )
-    ctx = CountingContext()
-    fld = CountingField(ctx)
-    valid = True
-    try:
-        if method == "eps":
-            table = run_epsilon(A, field=fld)
+    fld = CountingField()
+    if method == "eps":
+        table = run_epsilon(A, field=fld)
+    else:
+        seq = SequencePair(A=A, u=list(u), L=L)
+        if method == "fsqd":
+            table = run_fs_qd(seq, field=fld)
+        elif method == "fsqd_diag":
+            table = run_fs_qd(seq, diagonal_only=True, field=fld)
         else:
-            seq = SequencePair(A=A, u=list(u), L=L)
-            if method == "fsqd":
-                table = run_fs_qd(seq, field=fld)
-            elif method == "fsqd_diag":
-                table = run_fs_qd(seq, diagonal_only=True, field=fld)
-            else:
-                _, table = run_rs(seq, field=fld)
-        for _, entry in table.items():
-            if entry.status is EntryStatus.BREAKDOWN:
-                valid = False
-                break
-    except BreakdownError:
-        valid = False
-
-    counts = ctx.counts.snapshot()
+            _, table = run_rs(seq, field=fld)
+    valid = all(
+        entry.status is not EntryStatus.BREAKDOWN for _, entry in table.items()
+    )
+    counts = fld.ctx.counts
     L2 = float(L * L)
     normalized = {
         "additions": counts.additions / L2,

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Union
 
 # Unit roundoff for double precision.  Relative negligibility threshold:
 # a quantity d produced from operands with magnitude `scale` is treated as
@@ -52,18 +52,6 @@ class ScalarError(ValueError):
 
 class ParseError(ScalarError):
     """Text did not parse as a rational number."""
-
-
-class BreakdownError(ScalarError):
-    """Division by zero under counting arithmetic.
-
-    Carries the operation counts accumulated up to the failing divide so a
-    caller can report a partial tally.
-    """
-
-    def __init__(self, message: str, counts: "OpCounts"):
-        super().__init__(message)
-        self.counts = counts
 
 
 def rational_from_text(text: str) -> Fraction:
@@ -105,9 +93,6 @@ class OpCounts:
     def total(self) -> int:
         return self.additions + self.multiplications + self.divisions
 
-    def snapshot(self) -> "OpCounts":
-        return OpCounts(self.additions, self.multiplications, self.divisions)
-
     def as_dict(self) -> dict:
         return {
             "additions": self.additions,
@@ -131,7 +116,8 @@ class CountingScalar:
 
     Negation, absolute value and comparisons are free.  Arithmetic is
     performed on the wrapped doubles directly, so results are bit-identical
-    to running the same computation on plain floats.  Both operands of an
+    to running the same computation on plain floats, and a division by
+    zero raises ZeroDivisionError, uncounted.  Both operands of an
     arithmetic operation must be CountingScalars (build them through
     CountingField); mixing in a plain number raises TypeError.
     """
@@ -163,13 +149,10 @@ class CountingScalar:
     def __truediv__(self, other):
         if not isinstance(other, CountingScalar):
             return NotImplemented
-        if other.value == 0.0:
-            raise BreakdownError(
-                "division by zero under counting arithmetic",
-                self.ctx.counts.snapshot(),
-            )
+        # Divided before counting, so a zero divisor raises uncounted.
+        quotient = self.value / other.value
         self.ctx.counts.divisions += 1
-        return CountingScalar(self.value / other.value, self.ctx)
+        return CountingScalar(quotient, self.ctx)
 
     def __neg__(self):
         return CountingScalar(-self.value, self.ctx)
@@ -325,13 +308,15 @@ class CountingField(FloatField):
 
     Negligibility, finiteness and floor decisions are inherited from
     FloatField and made on the raw doubles, so they are free; only the
-    arithmetic the engine actually performs is counted.
+    arithmetic the engine actually performs is counted.  Each field owns a
+    fresh CountingContext: fld.ctx.counts holds the tally of every scalar
+    built through fld.
     """
 
     name = "counting"
 
-    def __init__(self, ctx: Optional[CountingContext] = None):
-        self.ctx = ctx if ctx is not None else CountingContext()
+    def __init__(self):
+        self.ctx = CountingContext()
 
     def convert(self, v: Numeric) -> CountingScalar:
         if isinstance(v, CountingScalar):
@@ -351,34 +336,11 @@ class CountingField(FloatField):
         return CountingScalar(guarded, self.ctx)
 
 
-def with_counting(
-    computation: Callable[[CountingField], Numeric],
-) -> tuple:
-    """Run a scalar-valued computation under counting arithmetic.
-
-    The computation receives a fresh CountingField and must build its
-    scalars through it.  Returns (result, counts).  A division by zero
-    inside the computation raises BreakdownError carrying the counts
-    accumulated so far.
-    """
-    ctx = CountingContext()
-    fld = CountingField(ctx)
-    result = computation(fld)
-    return result, ctx.counts
-
-
-def infer_field(values) -> "FloatField | RationalField | CountingField":
-    """Choose a field from sample values: counting scalars win, then plain
-    floats, otherwise exact rationals (ints and Fractions)."""
-    ctx = None
-    saw_float = False
-    for v in values:
-        if isinstance(v, CountingScalar):
-            ctx = v.ctx
-        elif isinstance(v, float):
-            saw_float = True
-    if ctx is not None:
-        return CountingField(ctx)
-    if saw_float:
+def infer_field(values) -> "FloatField | RationalField":
+    """Choose a field from sample values: FloatField when any value is a
+    float or a counting scalar (a counting scalar is a double), otherwise
+    exact rationals (ints and Fractions).  Counting needs an explicit
+    CountingField."""
+    if any(isinstance(v, (float, CountingScalar)) for v in values):
         return FloatField()
     return RationalField()

@@ -90,8 +90,10 @@ class _ColumnTable:
 
 
 class ExtrapolationTable(_ColumnTable):
-    """Triangular array of accelerated values indexed (j, n) for
-    0 <= j+n <= limit, tagged with the engine that produced it."""
+    """Accelerated values indexed (j, n) for n = 0..limit, tagged with the
+    engine that produced it.  fsqd and rs store the triangle j+n <= limit;
+    eps stores every entry its even columns determine, len(A) - 2n slots
+    in column n (2(limit-n)+1 for an odd-length A: 5, 3, 1 at limit 2)."""
 
     def __init__(self, method: str, limit: int, columns: List[list]) -> None:
         super().__init__(columns)
@@ -142,18 +144,6 @@ class QdTable:
         self.q = _ColumnTable(q)
         self.e = _ColumnTable(e)
 
-    @staticmethod
-    def q_range(L: int) -> Iterator[Tuple[int, int]]:
-        for n in range(1, L + 1):
-            for j in range(2 * (L - n) + 2):
-                yield j, n
-
-    @staticmethod
-    def e_range(L: int) -> Iterator[Tuple[int, int]]:
-        for n in range(L + 1):
-            for j in range(2 * (L - n) + 1):
-                yield j, n
-
 
 class RsTable:
     """Arrays r and s of the rs recursion.
@@ -167,18 +157,6 @@ class RsTable:
         self.L = L
         self.r = _ColumnTable(r)
         self.s = _ColumnTable(s)
-
-    @staticmethod
-    def r_range(L: int) -> Iterator[Tuple[int, int]]:
-        for n in range(1, L + 2):
-            for j in range(2 * (L - n) + 3):
-                yield j, n
-
-    @staticmethod
-    def s_range(L: int) -> Iterator[Tuple[int, int]]:
-        for n in range(L + 1):
-            for j in range(2 * (L - n) + 2):
-                yield j, n
 
 
 @dataclass

@@ -1,0 +1,40 @@
+"""Two CLI boundaries: a negative number in exponent form is a value, not
+an option, and check refuses a case count that would check nothing."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from gtransform.cli import main
+
+
+def _strict_json(out: str):
+    def refuse(token):
+        raise AssertionError(f"non-finite token {token} in the output")
+
+    return json.loads(out, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("a", ["-1e0", "-1E-2", "-.5e1", "-1", "-1.5"])
+def test_negative_exponent_limit_is_a_value(a, capsys):
+    argv = ["integrate", "--integrand", "t_exp", "--x", "1", "--n-max", "3"]
+    assert main(argv + ["--a", a]) == 0
+    separate = capsys.readouterr().out
+    assert main(argv + [f"--a={a}"]) == 0
+    assert separate == capsys.readouterr().out
+    assert _strict_json(separate)["L"] == 3
+    # A non-finite value is still refused, by the finite-number check.
+    assert main(argv + ["--a", "-inf"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_check_refuses_a_non_positive_case_count(cases, capsys):
+    assert main(["check", "--L", "2", "--cases", cases]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cases" in captured.err

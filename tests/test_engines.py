@@ -32,8 +32,6 @@ from gtransform.tables import (
     ArgumentError,
     EntryStatus,
     InitializationError,
-    QdTable,
-    RsTable,
     SequencePair,
 )
 
@@ -74,12 +72,13 @@ class TestQdTable:
 
     def test_index_bounds(self):
         L = 2
-        assert list(QdTable.q_range(L)) == [
+        t = build_qd_table(HARMONIC, L, field=RAT)
+        assert sorted(k for k, _ in t.q.items()) == sorted(
             (j, n) for n in range(1, L + 1) for j in range(2 * (L - n) + 2)
-        ]
-        assert list(QdTable.e_range(L)) == [
+        )
+        assert sorted(k for k, _ in t.e.items()) == sorted(
             (j, n) for n in range(L + 1) for j in range(2 * (L - n) + 1)
-        ]
+        )
 
     def test_overlong_u_rejected(self):
         with pytest.raises(ArgumentError):
@@ -95,12 +94,10 @@ class TestQdTable:
         u = [F(rng.randint(1, 25), rng.randint(1, 9)) for _ in range(9)]
         L = 4
         t = build_qd_table(u, L, field=RAT)
-        for (j, n) in QdTable.q_range(L):
-            entry = t.q.get(j, n)
+        for (j, n), entry in t.q.items():
             if entry.status is EntryStatus.VALID:
                 assert entry.value == q_ref(u, j, n)
-        for (j, n) in QdTable.e_range(L):
-            entry = t.e.get(j, n)
+        for (j, n), entry in t.e.items():
             if entry.status is not EntryStatus.VALID:
                 continue
             if n == 0:
@@ -196,12 +193,10 @@ class TestRs:
         A = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(L + 1)]
         u = [F(rng.randint(1, 25), rng.randint(1, 9)) for _ in range(2 * L + 1)]
         rs, _ = run_rs(SequencePair(A=A, u=u), field=RAT)
-        for (j, n) in RsTable.r_range(L):
-            entry = rs.r.get(j, n)
+        for (j, n), entry in rs.r.items():
             if entry.status is EntryStatus.VALID:
                 assert entry.value == r_ref(u, j, n)
-        for (j, n) in RsTable.s_range(L):
-            entry = rs.s.get(j, n)
+        for (j, n), entry in rs.s.items():
             if entry.status is EntryStatus.VALID:
                 assert entry.value == s_ref(u, j, n)
 

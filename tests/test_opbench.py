@@ -24,7 +24,7 @@ from gtransform.opbench import (
     bench_on,
     compare_ratio,
 )
-from gtransform.scalars import with_counting
+from gtransform.scalars import CountingField
 from gtransform.engines import run_fs_qd
 from gtransform.tables import ArgumentError, SequencePair
 
@@ -90,13 +90,12 @@ def test_manual_tally_smallest_case():
     A = [1.25, 0.75, 1.125]
     u = [0.9, 1.1, 0.8, 1.2, 1.05]
 
-    def comp(fld):
-        seq = SequencePair(
-            A=[fld.convert(v) for v in A], u=[fld.convert(v) for v in u]
-        )
-        return run_fs_qd(seq, field=fld)
-
-    _, counts = with_counting(comp)
+    fld = CountingField()
+    seq = SequencePair(
+        A=[fld.convert(v) for v in A], u=[fld.convert(v) for v in u]
+    )
+    run_fs_qd(seq, field=fld)
+    counts = fld.ctx.counts
     assert counts.as_dict() == {
         "additions": 14,
         "multiplications": 2,

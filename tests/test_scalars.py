@@ -9,86 +9,72 @@ import pytest
 
 from gtransform.scalars import (
     EPS,
-    BreakdownError,
     CountingField,
     FloatField,
-    OpCounts,
     ParseError,
     RationalField,
     rational_from_text,
-    with_counting,
 )
 
 
 class TestWithCounting:
-    def test_single_addition(self):
-        def comp(fld):
-            return fld.convert(2.0) + fld.convert(3.0)
+    """Tallies of scalars built through a fresh CountingField."""
 
-        result, counts = with_counting(comp)
+    def test_single_addition(self):
+        fld = CountingField()
+        result = fld.convert(2.0) + fld.convert(3.0)
         assert float(result) == 5.0
-        assert counts.as_dict() == {
+        assert fld.ctx.counts.as_dict() == {
             "additions": 1,
             "multiplications": 0,
             "divisions": 0,
         }
 
     def test_one_of_each(self):
-        def comp(fld):
-            a, b, c, d = (fld.convert(v) for v in (1.0, 2.0, 3.0, 4.0))
-            return ((a + b) * c) / d
-
-        result, counts = with_counting(comp)
+        fld = CountingField()
+        a, b, c, d = (fld.convert(v) for v in (1.0, 2.0, 3.0, 4.0))
+        result = ((a + b) * c) / d
+        counts = fld.ctx.counts
         assert float(result) == 2.25
         assert counts.additions == 1
         assert counts.multiplications == 1
         assert counts.divisions == 1
 
     def test_empty_computation(self):
-        _, counts = with_counting(lambda fld: fld.zero())
-        assert counts.total == 0
+        fld = CountingField()
+        fld.zero()
+        assert fld.ctx.counts.total == 0
 
     def test_subtraction_counts_as_addition(self):
-        def comp(fld):
-            return fld.convert(5.0) - fld.convert(2.0)
-
-        _, counts = with_counting(comp)
-        assert counts.additions == 1
-        assert counts.multiplications == 0
+        fld = CountingField()
+        fld.convert(5.0) - fld.convert(2.0)
+        assert fld.ctx.counts.additions == 1
+        assert fld.ctx.counts.multiplications == 0
 
     def test_negation_and_comparison_are_free(self):
-        def comp(fld):
-            a = fld.convert(3.0)
-            b = -a
-            assert b < a
-            assert abs(b) == a
-            return b
-
-        _, counts = with_counting(comp)
-        assert counts.total == 0
+        fld = CountingField()
+        a = fld.convert(3.0)
+        b = -a
+        assert b < a
+        assert abs(b) == a
+        assert fld.ctx.counts.total == 0
 
     def test_division_by_zero_carries_partial_counts(self):
-        def comp(fld):
-            a = fld.convert(1.0) + fld.convert(2.0)
-            b = a + a
-            return b / fld.zero()
-
-        with pytest.raises(BreakdownError) as exc_info:
-            with_counting(comp)
-        assert exc_info.value.counts.additions == 2
-        assert exc_info.value.counts.divisions == 0
+        fld = CountingField()
+        a = fld.convert(1.0) + fld.convert(2.0)
+        b = a + a
+        with pytest.raises(ZeroDivisionError):
+            b / fld.zero()
+        assert fld.ctx.counts.additions == 2
+        assert fld.ctx.counts.divisions == 0
 
     def test_counts_monotone_during_run(self):
+        fld = CountingField()
         seen = []
-
-        def comp(fld):
-            acc = fld.zero()
-            for i in range(1, 6):
-                acc = acc + fld.convert(float(i))
-                seen.append(fld.ctx.counts.snapshot().additions)
-            return acc
-
-        with_counting(comp)
+        acc = fld.zero()
+        for i in range(1, 6):
+            acc = acc + fld.convert(float(i))
+            seen.append(fld.ctx.counts.additions)
         assert seen == sorted(seen)
         assert seen[-1] == 5
 
@@ -150,10 +136,9 @@ def test_counting_matches_plain_floats_bitwise():
 
     plain = work(raw)
 
-    def comp(fld):
-        return work([fld.convert(v) for v in raw])
-
-    counted, counts = with_counting(comp)
+    fld = CountingField()
+    counted = work([fld.convert(v) for v in raw])
+    counts = fld.ctx.counts
     assert float(counted) == plain
     assert counts.additions == 2 * 39
     assert counts.multiplications == 39
@@ -207,16 +192,7 @@ class TestRationalFieldDivisors:
 def test_counting_field_runs_inside_context():
     fld_outer = CountingField.__name__  # only to document the public name
     assert fld_outer == "CountingField"
-    result, counts = with_counting(
-        lambda fld: fld.convert(6.0) / fld.convert(3.0)
-    )
+    fld = CountingField()
+    result = fld.convert(6.0) / fld.convert(3.0)
     assert float(result) == 2.0
-    assert counts.divisions == 1
-
-
-def test_opcounts_snapshot_is_independent():
-    c = OpCounts()
-    c.additions = 3
-    snap = c.snapshot()
-    c.additions = 7
-    assert snap.additions == 3
+    assert fld.ctx.counts.divisions == 1

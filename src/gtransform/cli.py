@@ -171,14 +171,16 @@ def cmd_table(args) -> int:
         raise _InputError(f"mode must be 'general' or 'shanks', got {mode!r}")
     if mode == "shanks" and has_u:
         raise _InputError("field 'u' must be absent in shanks mode")
+    # Checked for every method, though eps ignores u.
+    u = _parse_values(doc.get("u"), "u", fld) if mode == "general" else None
 
     if args.method == "eps":
         table = run_epsilon(A, field=fld)
     else:
-        if mode == "shanks":
+        if u is None:
             seq = shanks_prepare(A, field=fld)
         else:
-            seq = SequencePair(A=A, u=_parse_values(doc.get("u"), "u", fld))
+            seq = SequencePair(A=A, u=u)
         try:
             if args.method == "fsqd":
                 table = run_fs_qd(

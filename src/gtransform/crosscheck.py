@@ -179,39 +179,16 @@ def run_equivalence_suite(
     epsilon identity, and the qd and rs determinant identities."""
     report = CheckReport()
     rng = random.Random(seed)
-
-    _run_with_redraw(
-        report,
-        rng,
-        lambda r: random_pair(r, L),
-        check_equivalence_case,
-        cases,
+    batteries = (
+        (lambda r: random_pair(r, L), check_equivalence_case),
+        (lambda r: [_rand_fraction(r) for _ in range(9)],
+         check_epsilon_identity_case),
+        (lambda r: [_rand_fraction(r, nonzero=True) for _ in range(2 * L + 1)],
+         lambda u: check_qd_identity_case(u, L)),
+        (lambda r: random_pair(r, L), check_rs_identity_case),
     )
-    if not report.ok:
-        return report
-    _run_with_redraw(
-        report,
-        rng,
-        lambda r: [_rand_fraction(r) for _ in range(9)],
-        check_epsilon_identity_case,
-        cases,
-    )
-    if not report.ok:
-        return report
-    _run_with_redraw(
-        report,
-        rng,
-        lambda r: [_rand_fraction(r, nonzero=True) for _ in range(2 * L + 1)],
-        lambda u: check_qd_identity_case(u, L),
-        cases,
-    )
-    if not report.ok:
-        return report
-    _run_with_redraw(
-        report,
-        rng,
-        lambda r: random_pair(r, L),
-        check_rs_identity_case,
-        cases,
-    )
+    for draw, check in batteries:
+        _run_with_redraw(report, rng, draw, check, cases)
+        if not report.ok:
+            break
     return report

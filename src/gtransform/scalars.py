@@ -1,8 +1,10 @@
 """Arithmetic fields the extrapolation engines are generic over.
 
 Three realizations share one small protocol: plain machine doubles, exact
-rationals, and counting-instrumented doubles that tally every add, multiply
-and divide.  The breakdown policy lives here and nowhere else: engines
+rationals, and counting doubles.  A counting scalar is a float that tallies
+every add, subtract, multiply and divide in its field's context; to every
+other operation, and to the float field's guards, it is a plain float.
+The breakdown policy lives here and nowhere else: engines
 never test a divisor or a value themselves.  They ask the field whether a
 divisor is refused (value_divisor, is_zero), floored (structural_divisor)
 or cancelled to roundoff (is_negligible), and whether a value they would
@@ -36,7 +38,9 @@ EPS = 2.0 ** -52
 # range by depth 3).
 FLOOR_MIN = EPS * EPS
 
-Numeric = Union[int, float, Fraction, "CountingScalar"]
+# What a field's convert takes besides number text; a counting scalar is a
+# float.
+Numeric = Union[int, float, Fraction]
 
 # Largest decimal exponent number text may carry: Fraction builds 10**exp
 # in full, so an unbounded exponent costs unbounded time and memory.  4300
@@ -111,89 +115,67 @@ class CountingContext:
     counts: OpCounts = dc_field(default_factory=OpCounts)
 
 
-class CountingScalar:
-    """A double that reports its arithmetic to a CountingContext.
+def _refuse(scalar, other):
+    raise TypeError(
+        f"cannot mix a counting scalar with {type(other).__name__}"
+    )
 
-    Negation, absolute value and comparisons are free.  Arithmetic is
-    performed on the wrapped doubles directly, so results are bit-identical
-    to running the same computation on plain floats, and a division by
-    zero raises ZeroDivisionError, uncounted.  Both operands of an
-    arithmetic operation must be CountingScalars (build them through
-    CountingField); mixing in a plain number raises TypeError.
+
+class CountingScalar(float):
+    """A double that reports its arithmetic to its field's CountingContext.
+
+    Only + - * / count.  Each computes with float's own operator, so
+    results are bit-identical to running the same computation on plain
+    floats, and a division by zero raises ZeroDivisionError, uncounted.
+    Everything else a float does (negation, abs, comparisons, hashing) is
+    free; negation alone keeps the result a counting scalar.  Both
+    operands of + - * / must be counting scalars: mixing in a plain
+    number, on either side, raises TypeError.  Scalars are built through
+    a CountingField, whose own subclass carries its context as the class
+    attribute ctx.
     """
 
-    __slots__ = ("value", "ctx")
-
-    def __init__(self, value: float, ctx: CountingContext):
-        self.value = float(value)
-        self.ctx = ctx
+    __slots__ = ()
+    ctx: CountingContext
 
     def __add__(self, other):
         if not isinstance(other, CountingScalar):
-            return NotImplemented
+            _refuse(self, other)
         self.ctx.counts.additions += 1
-        return CountingScalar(self.value + other.value, self.ctx)
+        return type(self)(float.__add__(self, other))
 
     def __sub__(self, other):
         if not isinstance(other, CountingScalar):
-            return NotImplemented
+            _refuse(self, other)
         self.ctx.counts.additions += 1
-        return CountingScalar(self.value - other.value, self.ctx)
+        return type(self)(float.__sub__(self, other))
 
     def __mul__(self, other):
         if not isinstance(other, CountingScalar):
-            return NotImplemented
+            _refuse(self, other)
         self.ctx.counts.multiplications += 1
-        return CountingScalar(self.value * other.value, self.ctx)
+        return type(self)(float.__mul__(self, other))
 
     def __truediv__(self, other):
         if not isinstance(other, CountingScalar):
-            return NotImplemented
+            _refuse(self, other)
         # Divided before counting, so a zero divisor raises uncounted.
-        quotient = self.value / other.value
+        quotient = float.__truediv__(self, other)
         self.ctx.counts.divisions += 1
-        return CountingScalar(quotient, self.ctx)
+        return type(self)(quotient)
 
     def __neg__(self):
-        return CountingScalar(-self.value, self.ctx)
+        return type(self)(float.__neg__(self))
 
-    def __abs__(self):
-        return CountingScalar(abs(self.value), self.ctx)
-
-    def __eq__(self, other):
-        if isinstance(other, CountingScalar):
-            return self.value == other.value
-        if isinstance(other, (int, float)):
-            return self.value == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        o = other.value if isinstance(other, CountingScalar) else other
-        return self.value < o
-
-    def __le__(self, other):
-        o = other.value if isinstance(other, CountingScalar) else other
-        return self.value <= o
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"CountingScalar({self.value!r})"
-
-
-def _raw(x) -> float:
-    return x.value if isinstance(x, CountingScalar) else float(x)
+    # Reached only with a plain number on the left, where float's own
+    # operator would return an uncounted float.
+    __radd__ = __rsub__ = __rmul__ = __rtruediv__ = _refuse
 
 
 def _float_scale(ops) -> float:
     scale = 0.0
     for o in ops:
-        # _raw inlined: this loop runs for nearly every guarded divisor.
-        a = abs(o.value if isinstance(o, CountingScalar) else float(o))
+        a = abs(o)
         if a > scale:
             scale = a
     return scale
@@ -214,7 +196,7 @@ class FloatField:
 
     def convert(self, v: Numeric) -> float:
         try:
-            return _raw(rational_from_text(v) if isinstance(v, str) else v)
+            return float(rational_from_text(v) if isinstance(v, str) else v)
         except OverflowError:
             raise ParseError(f"outside the double range: {v!r}") from None
         except TypeError:
@@ -229,13 +211,12 @@ class FloatField:
         return 1.0
 
     def is_zero(self, v) -> bool:
-        return _raw(v) == 0.0
+        return v == 0.0
 
     def is_negligible(self, d, *ops) -> bool:
-        dv = _raw(d)
-        if dv == 0.0:
+        if d == 0.0:
             return True
-        return ops != () and abs(dv) <= EPS * _float_scale(ops)
+        return ops != () and abs(d) <= EPS * _float_scale(ops)
 
     def value_divisor(self, d, *ops):
         """The divisor for a division whose quotient is a reported value,
@@ -247,11 +228,10 @@ class FloatField:
     def structural_divisor(self, d, *ops):
         """A safe divisor for a division whose quotient only propagates the
         table (never reported directly): floored away from zero."""
-        dv = _raw(d)
         floor = max(EPS * _float_scale(ops), FLOOR_MIN)
-        if abs(dv) >= floor:
+        if abs(d) >= floor:
             return d
-        return floor if dv >= 0.0 else -floor
+        return floor if d >= 0.0 else -floor
 
 
 class RationalField:
@@ -269,8 +249,6 @@ class RationalField:
             return v
         if isinstance(v, str):
             return rational_from_text(v)
-        if isinstance(v, CountingScalar):
-            v = v.value
         if not isinstance(v, (int, float)):
             raise ParseError(
                 f"cannot convert {type(v).__name__} to a rational"
@@ -307,40 +285,40 @@ class CountingField(FloatField):
     """FloatField semantics with operation tallying.
 
     Negligibility, finiteness and floor decisions are inherited from
-    FloatField and made on the raw doubles, so they are free; only the
-    arithmetic the engine actually performs is counted.  Each field owns a
-    fresh CountingContext: fld.ctx.counts holds the tally of every scalar
-    built through fld.
+    FloatField and use float's own abs and comparisons, so they are free;
+    only the arithmetic the engine actually performs is counted.  Each
+    field owns a fresh CountingContext and its own CountingScalar
+    subclass, fld.scalar, whose class attribute ctx is that context:
+    fld.ctx.counts holds the tally of every scalar built through fld.
     """
 
     name = "counting"
 
     def __init__(self):
         self.ctx = CountingContext()
+        self.scalar = type(
+            "CountingScalar", (CountingScalar,),
+            {"__slots__": (), "ctx": self.ctx},
+        )
 
     def convert(self, v: Numeric) -> CountingScalar:
-        if isinstance(v, CountingScalar):
-            return v
-        return CountingScalar(super().convert(v), self.ctx)
+        return self.scalar(super().convert(v))
 
     def zero(self) -> CountingScalar:
-        return CountingScalar(0.0, self.ctx)
+        return self.scalar(0.0)
 
     def one(self) -> CountingScalar:
-        return CountingScalar(1.0, self.ctx)
+        return self.scalar(1.0)
 
     def structural_divisor(self, d, *ops):
-        guarded = super().structural_divisor(_raw(d), *ops)
-        if guarded == _raw(d):
-            return d
-        return CountingScalar(guarded, self.ctx)
+        guarded = super().structural_divisor(d, *ops)
+        return guarded if guarded is d else self.scalar(guarded)
 
 
 def infer_field(values) -> "FloatField | RationalField":
     """Choose a field from sample values: FloatField when any value is a
-    float or a counting scalar (a counting scalar is a double), otherwise
-    exact rationals (ints and Fractions).  Counting needs an explicit
-    CountingField."""
-    if any(isinstance(v, (float, CountingScalar)) for v in values):
+    float (a counting scalar is one), otherwise exact rationals (ints and
+    Fractions).  Counting needs an explicit CountingField."""
+    if any(isinstance(v, float) for v in values):
         return FloatField()
     return RationalField()

@@ -1,5 +1,6 @@
-"""Two CLI boundaries: a negative number in exponent form is a value, not
-an option, and check refuses a case count that would check nothing."""
+"""CLI boundaries: a negative number in exponent form is a value, not an
+option, check refuses a case count that would check nothing, and table
+checks a document's mode and u alike for every method."""
 
 from __future__ import annotations
 
@@ -38,3 +39,19 @@ def test_check_refuses_a_non_positive_case_count(cases, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cases" in captured.err
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({"A": [1, 2, 3], "u": ["abc"]}, "u[0]: not a rational number"),
+    ({"A": [1, 2, 3], "u": "notalist"}, "field 'u' must be a non-empty list"),
+    ({"A": [1, 2, 3], "u": [1.0, None]}, "u[1]: unsupported type NoneType"),
+    ({"A": [1, 2, 3], "mode": "general"}, "field 'u' must be a non-empty list"),
+], ids=["text u", "u not a list", "null in u", "general mode without u"])
+def test_table_checks_u_for_every_method(doc, error, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    for method in ("fsqd", "rs", "eps"):
+        assert main(["table", "--input", str(path), "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"input error: {error}" in captured.err

@@ -160,9 +160,9 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
 
 
 def _sylvester_sweep(g, bs, L: int, field):
-    """Columns f_n, n = 1..L, of integer FS determinants, found with the
-    Hankel determinants G_n by Sylvester's identity, or None where the qd
-    sweep would divide by a zero determinant; the caller stops at a None.
+    """Columns (G_n, f_n), n = 1..L, of integer Hankel and FS
+    determinants by Sylvester's identity, or None and no more where the
+    qd sweep would divide by a zero determinant.
 
     From g = U_0..U_2L and integer vectors b_0..b_L in bs, G_n[j] is
     H_n^(j), the Hankel determinant of U_j..U_{j+2n-2}, and f_n holds
@@ -178,12 +178,13 @@ def _sylvester_sweep(g, bs, L: int, field):
     for n in range(1, L + 1):
         if any(field.is_zero(x) for x in g[:-1]):
             yield None
+            return
         fs = [
             [(f[j] * g[j + 1] - g[j] * f[j + 1]) // below[j + 1]
              for j in range(L - n + 1)]
             for f in fs
         ]
-        yield fs
+        yield g, fs
         below, g = g, [
             (g[j] * g[j + 2] - g[j + 1] * g[j + 1]) // below[j + 2]
             for j in range(len(g) - 2)
@@ -215,7 +216,7 @@ def _fraction_free_columns(A, u, L: int, field, diagonal_only: bool):
     for n, step in enumerate(sweep, start=1):
         if step is None:
             return None
-        fA, f1 = step
+        _, (fA, f1) = step
         width = 1 if diagonal_only else L - n + 1
         columns.append([
             BREAKDOWN if field.is_zero(den) else Fraction(num, d_A * den)

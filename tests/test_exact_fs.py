@@ -139,9 +139,8 @@ def test_shanks_pad_zero_is_not_a_fallback():
 
 @pytest.mark.parametrize("L", range(0, 8))
 def test_sylvester_columns_match_the_determinant_definitions(L):
-    """f_n^(j)(b) = D_u^n D_b f_det(b, j, n), for b = A and b = 1, on every
-    column the integer sweep yields.  The sweep yields no Hankel column;
-    one that is wrong shows here once an f_n is formed from it."""
+    """G_n[j] = D_u^n H_n^(j) and f_n^(j)(b) = D_u^n D_b f_det(b, j, n),
+    for b = A and b = 1, on every column the integer sweep yields."""
     rng = random.Random(100 + L)
     for _ in range(3):
         A = [_pq(rng) for _ in range(L + 1)]
@@ -154,8 +153,11 @@ def test_sylvester_columns_match_the_determinant_definitions(L):
         assert len(steps) == L and None not in steps
         ones = SequenceFunction.ones()
         A_fn = SequenceFunction.from_list("A", A)
-        for n, (fA, f1) in enumerate(steps, start=1):
+        for n, (G, (fA, f1)) in enumerate(steps, start=1):
+            assert len(G) == 2 * L + 3 - 2 * n
             assert len(fA) == len(f1) == L - n + 1
+            for j, value in enumerate(G):
+                assert value == hankel_det(u, j, n) * d_u ** n, (n, j)
             for j in range(L - n + 1):
                 assert fA[j] == f_det(A_fn, u, j, n) * d_u ** n * d_A
                 assert f1[j] == f_det(ones, u, j, n) * d_u ** n

@@ -4,9 +4,12 @@ Subcommands: table (run an engine on a sequence file), integrate (the
 semi-infinite integral driver), bench (operation counts), check (the
 exact consistency suite).  Machine output is strict JSON on stdout;
 diagnostics go to stderr only; table and integrate can render text
-instead (--format, --full).  Exit codes: 0 success, 2 input/parse error,
-3 when every entry beyond column 0 broke down, 64 usage error.  The parser
-is built once, when this module is imported.
+instead (--format, --full).  Exit codes: 0 success, 2 input/parse error
+(an --output file that cannot be written included), 3 when every entry
+beyond column 0 broke down, 64 usage error (a size above its cap
+included: MAX_N_MAX, MAX_SUBDIVISIONS, MAX_BENCH_L).  JSON is laid out
+byte for byte as json.dumps(indent=2) lays it out.  The parser is built
+once, when this module is imported.
 
 A table document is checked here only for its JSON shape; every value is
 turned into a number by the chosen field's convert, JSON floats as their
@@ -22,6 +25,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
 from .crosscheck import run_equivalence_suite
@@ -29,13 +33,24 @@ from .engines import run_epsilon, run_fs_qd, run_rs, shanks_prepare
 from .opbench import METHODS, MIN_L, bench_method
 from .quadrature import ENGINES, QuadratureConfig, g_transform, make_spec
 from .scalars import FloatField, ParseError, RationalField
-from .tables import (ArgumentError, ExtrapolationTable, InitializationError,
-                     SequencePair)
+from .tables import (ArgumentError, EntryStatus, ExtrapolationTable,
+                     InitializationError, SequencePair)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ALL_BREAKDOWN = 3
 EXIT_USAGE = 64
+
+# Caps on the size of one call, refused as usage errors before any work.
+# Engine time and memory grow as L^2: float fsqd takes about a second at
+# L = 500, and a counting run there makes 11 times the operations of one
+# at L = 150, a few seconds.  integrate writes (L+1)(L+2)/2 table rows,
+# about 13 MB of JSON at L = 500.  Sampling makes n_max times
+# --subdivisions integrand calls; Simpson with 4096 subdivisions on a
+# unit panel is below double rounding for a smooth integrand.
+MAX_N_MAX = 500
+MAX_SUBDIVISIONS = 4096
+MAX_BENCH_L = 500
 
 
 class _UsageError(Exception):
@@ -101,9 +116,12 @@ def _parse_values(raw, field_name: str, fld) -> list:
 
 def _table_document(table: ExtrapolationTable, exact: bool) -> Dict[str, Any]:
     write = str if exact else float
+    valid = EntryStatus.VALID.value
     try:
-        rows = [{"j": j, "n": n, "value": write(e.value) if e.valid else None,
-                 "status": e.status.value} for (j, n), e in table.items()]
+        rows = [{"j": j, "n": n, "value": None, "status": slot.value}
+                if isinstance(slot, EntryStatus) else
+                {"j": j, "n": n, "value": write(slot), "status": valid}
+                for j, n, slot in table.slots()]
         diagonal = [write(e.value) if e.valid else None
                     for e in table.diagonal()]
     except ValueError:  # str() of an int longer than the digit limit
@@ -115,16 +133,75 @@ def _table_document(table: ExtrapolationTable, exact: bool) -> Dict[str, Any]:
             "diagonal": diagonal}
 
 
+# The JSON writer.  json.dumps runs its C encoder only without indent, so
+# the indent=2 layout is built here from compact encodings of the leaves.
+_STRICT = json.JSONEncoder(allow_nan=False).encode
+_SCALAR = (str, int, float)
+_ROW_KEYS = ("j", "n", "value", "status")
+_ROW = ('    {\n      "j": %s,\n      "n": %s,\n      "value": %s,\n'
+        '      "status": %s\n    }')
+
+
+def _leaf(v) -> str:
+    """A JSON scalar as json.dumps writes it.  A float that is not finite
+    raises ValueError, a container TypeError."""
+    if type(v) is float and math.isfinite(v):
+        return repr(v)
+    if v is None:
+        return "null"
+    if type(v) is int:
+        return repr(v)
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if isinstance(v, _SCALAR):
+        return _STRICT(v)
+    raise TypeError(f"not a JSON scalar: {type(v).__name__}")
+
+
+def _member(v) -> str:
+    """One value of the top-level object, as json.dumps(indent=2) writes
+    it there.  A list of table rows fills a row template; a list of
+    scalars is joined at its indent; a container that holds a container
+    is written by json.dumps and indented one level (a JSON string holds
+    no raw newline, so every newline is the layout's)."""
+    try:
+        if type(v) is not list:
+            return _leaf(v)
+        if v and all(type(r) is dict and tuple(r) == _ROW_KEYS for r in v):
+            return "[\n" + ",\n".join([
+                _ROW % (_leaf(r["j"]), _leaf(r["n"]), _leaf(r["value"]),
+                        _leaf(r["status"]))
+                for r in v]) + "\n  ]"
+        if v:
+            return "[\n    " + ",\n    ".join(map(_leaf, v)) + "\n  ]"
+    except TypeError:
+        pass
+    return json.dumps(v, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+
+def _dumps(doc: Dict[str, Any]) -> str:
+    """json.dumps(doc, indent=2, allow_nan=False), byte for byte, for an
+    object with string keys."""
+    if not doc:
+        return "{}"
+    return "{\n" + ",\n".join([
+        f"  {encode_basestring_ascii(key)}: {_member(v)}"
+        for key, v in doc.items()]) + "\n}"
+
+
 def _emit(doc: Dict[str, Any], args) -> None:
     if getattr(args, "format", "json") == "text":
         payload = _render_text(doc, full=args.full)
     else:
         # A non-finite number raises ValueError rather than being written
         # as a NaN or Infinity token, which is not JSON.
-        payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        payload = _dumps(doc) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -213,6 +290,11 @@ def _finite_float(text: str) -> float:
 
 
 def cmd_integrate(args) -> int:
+    if args.n_max > MAX_N_MAX:
+        raise _UsageError(f"--n-max is capped at {MAX_N_MAX}, got {args.n_max}")
+    if args.subdivisions > MAX_SUBDIVISIONS:
+        raise _UsageError(f"--subdivisions is capped at {MAX_SUBDIVISIONS}, "
+                          f"got {args.subdivisions}")
     spec = make_spec(args.integrand, a=args.a)
     cfg = QuadratureConfig(
         subdivisions_per_panel=args.subdivisions,
@@ -239,6 +321,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.L > MAX_BENCH_L:
+        raise _UsageError(f"bench is capped at L <= {MAX_BENCH_L}, got {args.L}")
     try:
         report = bench_method(args.method, args.L, args.seed)
     except ArgumentError as exc:
@@ -301,10 +385,12 @@ def _build_parser() -> _Parser:
                        help="first sample point")
     p_int.add_argument("--h", type=_finite_float, default=1.0,
                        help="sample spacing")
-    p_int.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p_int.add_argument("--n-max", type=int, required=True, dest="n_max",
+                       help=f"transformation order, at most {MAX_N_MAX}")
     p_int.add_argument("--engine", choices=ENGINES, default="fsqd")
     p_int.add_argument("--subdivisions", type=int, default=64,
-                       help="Simpson subdivisions per panel")
+                       help="Simpson subdivisions per panel, at most "
+                       f"{MAX_SUBDIVISIONS}")
     p_int.add_argument("--analytic-f", action="store_true", dest="analytic_f",
                        help="use the closed-form running integral when known")
     p_int.set_defaults(fn=cmd_integrate)
@@ -313,7 +399,7 @@ def _build_parser() -> _Parser:
                              parents=[output])
     p_bench.add_argument("--method", required=True, choices=METHODS)
     p_bench.add_argument("--L", type=int, required=True,
-                         help=f"table size, at least {MIN_L}")
+                         help=f"table size, {MIN_L} to {MAX_BENCH_L}")
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.set_defaults(fn=cmd_bench)
 

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .engines import run_epsilon, run_fs_qd, run_rs
 from .tables import (
     ArgumentError,
+    EntryStatus,
     ExtrapolationTable,
     InitializationError,
     SequencePair,
@@ -237,10 +238,10 @@ def g_transform(
     errors: Optional[Dict[Tuple[int, int], float]] = None
     deltas: Optional[List[Optional[float]]] = None
     if spec.reference is not None:
-        errors = {}
-        for (j, n), entry in table.items():
-            if entry.valid:
-                errors[(j, n)] = abs(float(entry.value) - spec.reference)
+        ref = spec.reference
+        errors = {(j, n): abs(float(slot) - ref)
+                  for j, n, slot in table.slots()
+                  if not isinstance(slot, EntryStatus)}
     else:
         deltas = []
         diag = table.diagonal()

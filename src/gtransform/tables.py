@@ -77,13 +77,19 @@ class _ColumnTable:
             raise ArgumentError(f"table has no slot ({j},{n})")
         self.columns[n][j] = entry.value if entry.valid else entry.status
 
-    def items(self) -> Iterator[Tuple[Tuple[int, int], Entry]]:
-        """Every slot in (j, n) order."""
+    def slots(self) -> Iterator[Tuple[int, int, Any]]:
+        """(j, n, slot) for every stored slot in (j, n) order; a slot is a
+        value or the EntryStatus of an entry without one."""
         depth = max(map(len, self.columns), default=0)
         for j in range(depth):
             for n, col in enumerate(self.columns):
                 if j < len(col):
-                    yield (j, n), _entry(col[j])
+                    yield j, n, col[j]
+
+    def items(self) -> Iterator[Tuple[Tuple[int, int], Entry]]:
+        """Every slot in (j, n) order."""
+        for j, n, slot in self.slots():
+            yield (j, n), _entry(slot)
 
     def __len__(self) -> int:
         return sum(map(len, self.columns))

@@ -1,6 +1,8 @@
 """CLI boundaries: a negative number in exponent form is a value, not an
-option, check refuses a case count that would check nothing, and table
-checks a document's mode and u alike for every method."""
+option, check refuses a case count that would check nothing, table
+checks a document's mode and u alike for every method, an --output file
+that cannot be written is an input error, and a size above its cap is a
+usage error before any work starts."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ import json
 
 import pytest
 
+from gtransform import cli
 from gtransform.cli import main
 
 
@@ -55,3 +58,56 @@ def test_table_checks_u_for_every_method(doc, error, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"input error: {error}" in captured.err
+
+
+@pytest.mark.parametrize("target", [lambda d: d / "no" / "x.json",
+                                    lambda d: d],
+                         ids=["in a missing directory", "a directory"])
+def test_output_that_cannot_be_written_is_an_input_error(
+    target, tmp_path, capsys
+):
+    path = target(tmp_path)
+    argv = ["integrate", "--integrand", "sinc", "--x", "0", "--n-max", "3",
+            "--output", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: cannot write {path}: " in captured.err
+
+
+def _refuse_work(monkeypatch, name):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{name} called above the cap")
+
+    monkeypatch.setattr(cli, name, work)
+
+
+def test_n_max_above_the_cap_is_a_usage_error(monkeypatch, capsys):
+    _refuse_work(monkeypatch, "g_transform")
+    argv = ["integrate", "--integrand", "sinc", "--x", "0",
+            "--n-max", str(cli.MAX_N_MAX + 1)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--n-max is capped at {cli.MAX_N_MAX}" in captured.err
+
+
+def test_subdivisions_above_the_cap_is_a_usage_error(monkeypatch, capsys):
+    # cap + 1 is odd, which the Simpson rule refuses too; the message says
+    # which check refused it.
+    _refuse_work(monkeypatch, "g_transform")
+    argv = ["integrate", "--integrand", "sinc", "--x", "0", "--n-max", "3",
+            "--subdivisions", str(cli.MAX_SUBDIVISIONS + 1)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--subdivisions is capped at {cli.MAX_SUBDIVISIONS}" in captured.err
+
+
+def test_bench_L_above_the_cap_is_a_usage_error(monkeypatch, capsys):
+    _refuse_work(monkeypatch, "bench_method")
+    argv = ["bench", "--method", "fsqd", "--L", str(cli.MAX_BENCH_L + 1)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bench is capped at L <= {cli.MAX_BENCH_L}" in captured.err

@@ -206,3 +206,38 @@ def test_any_flags_exit_cleanly_with_strict_json(capsys, argv):
     if out:
         assert code in (0, 3)
         _strict_json(out)
+
+
+@st.composite
+def table_argv(draw, tmp_path):
+    """table on a small sequence document (floats or exact texts, u now
+    and then holding a zero, so that breakdowns occur), in any method and
+    mode."""
+    L = draw(st.integers(0, 5))
+    number = st.one_of(st.floats(-100, 100),
+                       st.builds("{}/{}".format, st.integers(-9, 9),
+                                 st.integers(1, 9)))
+    doc = {"A": draw(st.lists(number, min_size=L + 1, max_size=L + 1))}
+    if draw(st.booleans()):
+        doc["u"] = draw(st.lists(number, min_size=1, max_size=2 * L + 1))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    method = draw(st.sampled_from(["fsqd", "rs", "eps"]))
+    return (["table", "--input", str(path), "--method", method]
+            + ["--exact"] * draw(st.booleans())
+            + ["--diagonal-only"] * draw(st.booleans()))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_json_output_is_laid_out_as_json_dumps_indent_2(tmp_path, capsys, data):
+    argv = data.draw(st.one_of(integrate_argv(), bench_argv(), check_argv(),
+                               table_argv(tmp_path)))
+    main(argv)
+    out = capsys.readouterr().out
+    if out:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

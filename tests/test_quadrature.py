@@ -181,3 +181,17 @@ class TestResultShape:
         spec = make_spec("exp_decay")
         with pytest.raises(ArgumentError):
             g_transform(spec, x=1.0, h=1.0, n_max=0)
+
+
+@pytest.mark.parametrize("engine", ["fsqd", "rs", "eps"])
+@pytest.mark.parametrize("integrand", ["exp_decay", "sinc"])
+def test_errors_are_read_from_the_table_in_items_order(engine, integrand):
+    # exp_decay's samples are all but geometric, so rs and eps break down
+    # past their first orders; errors skip those entries.
+    result = g_transform(make_spec(integrand), x=1.0, h=1.0, n_max=8,
+                         engine=engine)
+    want = {(j, n): abs(float(e.value) - result.reference)
+            for (j, n), e in result.table.items() if e.valid}
+    assert list(result.errors.items()) == list(want.items())
+    if integrand == "exp_decay" and engine != "fsqd":
+        assert len(want) < len(result.table)

@@ -15,7 +15,6 @@ from .scalars import (
     OpCounts,
     ParseError,
     RationalField,
-    ScalarError,
     rational_from_text,
 )
 from .tables import (
@@ -29,6 +28,8 @@ from .tables import (
     SequencePair,
 )
 from .engines import (
+    METHODS,
+    accelerate,
     build_qd_table,
     run_epsilon,
     run_fs_qd,
@@ -37,7 +38,6 @@ from .engines import (
 )
 from .oracle import (
     DirectSolveResult,
-    SequenceFunction,
     SingularError,
     direct_solve,
     e_ref,
@@ -60,7 +60,6 @@ from .quadrature import (
     simpson_panel,
 )
 from .opbench import (
-    METHODS,
     BenchReport,
     bench_method,
     bench_on,
@@ -92,10 +91,9 @@ __all__ = [
     "QuadratureConfig",
     "RationalField",
     "RsTable",
-    "ScalarError",
-    "SequenceFunction",
     "SequencePair",
     "SingularError",
+    "accelerate",
     "bench_method",
     "bench_on",
     "build_qd_table",

@@ -6,10 +6,9 @@ exact consistency suite).  Machine output is strict JSON on stdout;
 diagnostics go to stderr only; table and integrate can render text
 instead (--format, --full).  Exit codes: 0 success, 2 input/parse error
 (an --output file that cannot be written included), 3 when every entry
-beyond column 0 broke down, 64 usage error (a size above its cap
-included: MAX_N_MAX, MAX_SUBDIVISIONS, MAX_BENCH_L).  JSON is laid out
-byte for byte as json.dumps(indent=2) lays it out.  The parser is built
-once, when this module is imported.
+beyond column 0 broke down, 64 usage error (a size above its MAX_* cap
+included).  JSON is laid out byte for byte as json.dumps(indent=2) lays
+it out.  The parser is built once, when this module is imported.
 
 A table document is checked here only for its JSON shape; every value is
 turned into a number by the chosen field's convert, JSON floats as their
@@ -29,12 +28,12 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
 from .crosscheck import run_equivalence_suite
-from .engines import run_epsilon, run_fs_qd, run_rs, shanks_prepare
+from .engines import accelerate
 from .opbench import METHODS, MIN_L, bench_method
 from .quadrature import ENGINES, QuadratureConfig, g_transform, make_spec
 from .scalars import FloatField, ParseError, RationalField
 from .tables import (ArgumentError, EntryStatus, ExtrapolationTable,
-                     InitializationError, SequencePair)
+                     InitializationError)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,10 +46,14 @@ EXIT_USAGE = 64
 # at L = 150, a few seconds.  integrate writes (L+1)(L+2)/2 table rows,
 # about 13 MB of JSON at L = 500.  Sampling makes n_max times
 # --subdivisions integrand calls; Simpson with 4096 subdivisions on a
-# unit panel is below double rounding for a smooth integrand.
+# unit panel is below double rounding for a smooth integrand.  A table
+# document's A holds L+1 values in general mode: integrate's largest
+# table.  check takes about 27 ms a case at L = 5: 14 s for 500 cases.
+MAX_TABLE_VALUES = 501
 MAX_N_MAX = 500
 MAX_SUBDIVISIONS = 4096
 MAX_BENCH_L = 500
+MAX_CHECK_CASES = 500
 
 
 class _UsageError(Exception):
@@ -237,6 +240,9 @@ def _render_text(doc: Dict[str, Any], full: bool) -> str:
 
 def cmd_table(args) -> int:
     doc = _load_document(args.input)
+    if isinstance(doc.get("A"), list) and len(doc["A"]) > MAX_TABLE_VALUES:
+        raise _UsageError(f"a table document's A is capped at "
+                          f"{MAX_TABLE_VALUES} values, got {len(doc['A'])}")
     exact = args.exact
     fld = RationalField() if exact else FloatField()
     A = _parse_values(doc.get("A"), "A", fld)
@@ -251,23 +257,14 @@ def cmd_table(args) -> int:
     # Checked for every method, though eps ignores u.
     u = _parse_values(doc.get("u"), "u", fld) if mode == "general" else None
 
-    if args.method == "eps":
-        table = run_epsilon(A, field=fld)
-    else:
-        if u is None:
-            seq = shanks_prepare(A, field=fld)
-        else:
-            seq = SequencePair(A=A, u=u)
-        try:
-            if args.method == "fsqd":
-                table = run_fs_qd(
-                    seq, diagonal_only=args.diagonal_only, field=fld
-                )
-            else:
-                _, table = run_rs(seq, field=fld)
-        except ArgumentError as exc:
-            # A holds L+1 values, so only an overlong u is refused here.
-            raise _InputError(f"field 'u': {exc}") from None
+    method = args.method
+    if method == "fsqd" and args.diagonal_only:
+        method = "fsqd_diag"
+    try:
+        table = accelerate(method, A, u, field=fld)
+    except ArgumentError as exc:
+        # A holds L+1 values, so only an overlong u is refused here.
+        raise _InputError(f"field 'u': {exc}") from None
 
     out = _table_document(table, exact)
     _emit(out, args)
@@ -340,6 +337,9 @@ def cmd_check(args) -> int:
         raise _UsageError(f"L must be >= 1, got {args.L}")
     if args.cases < 1:
         raise _UsageError(f"cases must be >= 1, got {args.cases}")
+    if args.cases > MAX_CHECK_CASES:
+        raise _UsageError(f"check is capped at {MAX_CHECK_CASES} cases, "
+                          f"got {args.cases}")
     report = run_equivalence_suite(L=args.L, cases=args.cases, seed=args.seed)
     doc = {
         "cases": report.cases,
@@ -368,7 +368,7 @@ def _build_parser() -> _Parser:
     p_table = sub.add_parser("table", help="run an engine on a sequence file",
                              parents=[output, render])
     p_table.add_argument("--input", required=True, help="InputDocument JSON path")
-    p_table.add_argument("--method", required=True, choices=("fsqd", "rs", "eps"))
+    p_table.add_argument("--method", required=True, choices=ENGINES)
     p_table.add_argument("--exact", action="store_true",
                          help="exact rational arithmetic")
     p_table.add_argument("--diagonal-only", action="store_true",
@@ -406,7 +406,8 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="exact consistency suite",
                              parents=[output])
     p_check.add_argument("--L", type=int, default=4)
-    p_check.add_argument("--cases", type=int, default=20)
+    p_check.add_argument("--cases", type=int, default=20,
+                         help=f"cases per battery, 1 to {MAX_CHECK_CASES}")
     p_check.add_argument("--seed", type=int, default=7)
     p_check.set_defaults(fn=cmd_check)
     return parser

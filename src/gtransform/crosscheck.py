@@ -149,15 +149,16 @@ def check_rs_identity_case(seq: SequencePair) -> Optional[str]:
     ])
 
 
-def _run_with_redraw(report: CheckReport, rng, draw, check, cases: int,
-                     max_attempts: int = 400) -> None:
+def _run_with_redraw(report: CheckReport, rng, draw, check, cases: int) -> None:
+    """Check cases non-degenerate draws, redrawing degenerate ones, in at
+    most 20 draws a case (400 at the default of 20 cases)."""
+    budget = 20 * cases
     done = 0
-    attempts = 0
-    while done < cases and attempts < max_attempts:
-        attempts += 1
-        sample = draw(rng)
+    for _ in range(budget):
+        if done == cases:
+            return
         try:
-            failure = check(sample)
+            failure = check(draw(rng))
         except _Degenerate:
             continue
         done += 1
@@ -167,8 +168,8 @@ def _run_with_redraw(report: CheckReport, rng, draw, check, cases: int,
             return
     if done < cases:
         report.failures.append(
-            f"could not draw {cases} non-degenerate cases in "
-            f"{max_attempts} attempts"
+            f"could not draw {cases} non-degenerate cases in {budget} "
+            f"attempts"
         )
 
 

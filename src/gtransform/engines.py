@@ -12,6 +12,9 @@ quotient-difference table are floored rather than refused, because their
 size is a gauge choice that cancels between the paired numerator and
 denominator arrays of the FS recursion.
 
+accelerate runs any method of METHODS in one call: the one the CLI, the
+integral driver and opbench make.
+
 All five entry points (run_fs_qd, run_rs, build_qd_table, run_epsilon,
 shanks_prepare) take their input through one helper, _input: it infers
 the field when none is given, turns every value into a number through
@@ -117,7 +120,7 @@ def _qd_sweep(u, L: int, field):
     are empty.  A short u leaves the entries that would need the missing
     tail not computed.
     """
-    e = [field.zero()] * (2 * L + 1)
+    e = [field.convert(0)] * (2 * L + 1)
     q = [
         u[j + 1] / u[j] if j + 1 < len(u) else NOT_COMPUTED
         for j in range(2 * L)
@@ -250,10 +253,10 @@ def run_fs_qd(
         if columns is not None:
             return ExtrapolationTable(method, L, columns)
 
-    one, finite = field.one(), field.is_finite
+    one, finite = field.convert(1), field.is_finite
     M = [A[j] / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
     N = [one / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
-    columns = [A]
+    columns = [_settled(A, field)]
     sweep = islice(_qd_sweep(u, L, field), 1, None)
     for n, (_, _, d) in enumerate(sweep, start=1):
         M_prev, N_prev, M, N = M, N, [], []
@@ -325,11 +328,11 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
 
-    one = field.one()
+    one = field.convert(1)
     s_cols = [[one] * (2 * L + 2)]
     r_cols = [[], [u[j] if j < len(u) else NOT_COMPUTED
                    for j in range(2 * L + 1)]]
-    columns = [A]
+    columns = [_settled(A, field)]
     for n in range(1, L + 1):
         r, s_prev, t_prev = r_cols[n], s_cols[n - 1], columns[n - 1]
         s = [
@@ -370,9 +373,9 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     field, vals, _ = _input(field, L, A)
     total = len(vals) - 1
 
-    one = field.one()
-    prev, cur = [field.zero()] * (total + 1), vals
-    columns = [vals]
+    one = field.convert(1)
+    prev, cur = [field.convert(0)] * (total + 1), vals
+    columns = [_settled(vals, field)]
     for k in range(total):
         nxt = []
         for j in range(total - k):
@@ -416,3 +419,25 @@ def shanks_prepare(A, field=None) -> SequencePair:
     if len(vals) % 2 == 1 and L >= 1:
         u.append(u[2 * L - 1] * u[2 * L - 1] / u[2 * L - 2])
     return SequencePair(A=vals[: L + 1], u=u, L=L)
+
+
+METHODS = ("fsqd", "fsqd_diag", "rs", "eps")
+
+
+def accelerate(method: str, A, u=None, field=None) -> ExtrapolationTable:
+    """The table of one method of METHODS: the one way to run an engine.
+
+    eps runs on the raw sequence A and ignores u.  fsqd, fsqd_diag
+    (fsqd with diagonal_only) and rs run on the pair (A, u), or, when u
+    is None, on shanks_prepare(A): Shanks' transformation of A.
+    """
+    if method not in METHODS:
+        raise ArgumentError(
+            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
+        )
+    if method == "eps":
+        return run_epsilon(A, field=field)
+    seq = shanks_prepare(A, field=field) if u is None else SequencePair(A, u)
+    if method == "rs":
+        return run_rs(seq, field=field)[1]
+    return run_fs_qd(seq, diagonal_only=method == "fsqd_diag", field=field)

@@ -12,11 +12,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .engines import run_epsilon, run_fs_qd, run_rs
+from .engines import METHODS, accelerate
 from .scalars import CountingField, OpCounts
-from .tables import ArgumentError, EntryStatus, SequencePair
+from .tables import ArgumentError, EntryStatus
 
-METHODS = ("fsqd", "fsqd_diag", "rs", "eps")
 MIN_L = 10
 
 
@@ -59,23 +58,12 @@ def bench_on(
     Input conversion and status bookkeeping are free; only the arithmetic
     in the engine recursions is tallied.  A breakdown anywhere in the run
     flags the report invalid; the counts then omit the arithmetic of the
-    entries that broke down.
+    entries that broke down.  Every method but eps needs L+1 values in A.
     """
-    if method not in METHODS:
-        raise ArgumentError(
-            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-        )
+    if method != "eps" and len(A) != L + 1:
+        raise ArgumentError(f"A must hold L+1 = {L + 1} values, got {len(A)}")
     fld = CountingField()
-    if method == "eps":
-        table = run_epsilon(A, field=fld)
-    else:
-        seq = SequencePair(A=A, u=list(u), L=L)
-        if method == "fsqd":
-            table = run_fs_qd(seq, field=fld)
-        elif method == "fsqd_diag":
-            table = run_fs_qd(seq, diagonal_only=True, field=fld)
-        else:
-            _, table = run_rs(seq, field=fld)
+    table = accelerate(method, A, u, field=fld)
     valid = all(
         entry.status is not EntryStatus.BREAKDOWN for _, entry in table.items()
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .tables import ArgumentError, SequencePair
 
@@ -93,10 +93,12 @@ def det(rows: List[List[Fraction]]) -> Fraction:
     return Fraction(_det_bareiss_int(cleared), factor)
 
 
-def _u_window(u: List[Fraction], lo: int, hi: int, what: str) -> None:
-    if lo < 0 or hi >= len(u):
+def _window(name: str, values: List[Fraction], lo: int, hi: int,
+            what: str) -> None:
+    if lo < 0 or hi >= len(values):
         raise ArgumentError(
-            f"{what} needs u indices {lo}..{hi} but u has length {len(u)}"
+            f"{what} needs {name} indices {lo}..{hi} but {name} has length "
+            f"{len(values)}"
         )
 
 
@@ -107,7 +109,7 @@ def hankel_det(u: Sequence, j: int, n: int) -> Fraction:
     uu = _as_exact(u, "u")
     if n == 0:
         return Fraction(1)
-    _u_window(uu, j, j + 2 * n - 2, f"hankel_det(j={j}, n={n})")
+    _window("u", uu, j, j + 2 * n - 2, f"hankel_det(j={j}, n={n})")
     rows = [[uu[j + l + k] for k in range(n)] for l in range(n)]
     return det(rows)
 
@@ -117,11 +119,9 @@ def k_det(u: Sequence, j: int, n: int) -> Fraction:
     whose later rows are shifted windows of u; orders 0 and 1 give 1."""
     _check_order(n)
     uu = _as_exact(u, "u")
-    if n == 0:
+    if n <= 1:
         return Fraction(1)
-    if n == 1:
-        return Fraction(1)
-    _u_window(uu, j, j + 2 * n - 3, f"k_det(j={j}, n={n})")
+    _window("u", uu, j, j + 2 * n - 3, f"k_det(j={j}, n={n})")
     rows = [[Fraction(1)] * n]
     for i in range(1, n):
         rows.append([uu[j + i - 1 + c] for c in range(n)])
@@ -164,51 +164,25 @@ def e_ref(u: Sequence, j: int, n: int) -> Fraction:
     return hankel_det(u, j, n + 1) * hankel_det(u, j + 1, n - 1) / den
 
 
-@dataclass
-class SequenceFunction:
-    """A named mapping l -> b(l) over non-negative integers."""
-
-    name: str
-    fn: Callable[[int], Fraction]
-
-    def __call__(self, l: int) -> Fraction:
-        return self.fn(l)
-
-    @staticmethod
-    def from_list(name: str, values: Sequence) -> "SequenceFunction":
-        vals = _as_exact(values, name)
-
-        def at(l: int) -> Fraction:
-            if l < 0 or l >= len(vals):
-                raise ArgumentError(
-                    f"sequence {name!r} has no index {l} (length {len(vals)})"
-                )
-            return vals[l]
-
-        return SequenceFunction(name, at)
-
-    @staticmethod
-    def ones() -> "SequenceFunction":
-        return SequenceFunction("I", lambda l: Fraction(1))
-
-
-def f_det(b: SequenceFunction, u: Sequence, j: int, n: int) -> Fraction:
-    """Determinant of the (n+1)-by-(n+1) matrix with first column b(j+l)
-    and remaining columns the shifted u windows; order 0 gives b(j)."""
+def f_det(b: Sequence, u: Sequence, j: int, n: int) -> Fraction:
+    """Determinant of the (n+1)-by-(n+1) matrix with first column
+    b_j..b_{j+n} and remaining columns the shifted u windows; order 0
+    gives b_j."""
     _check_order(n + 1)
-    uu = _as_exact(u, "u")
+    bb, uu = _as_exact(b, "b"), _as_exact(u, "u")
+    _window("b", bb, j, j + n, f"f_det(j={j}, n={n})")
     if n == 0:
-        return b(j)
-    _u_window(uu, j, j + 2 * n - 1, f"f_det(j={j}, n={n})")
+        return bb[j]
+    _window("u", uu, j, j + 2 * n - 1, f"f_det(j={j}, n={n})")
     rows = []
     for l in range(n + 1):
-        row = [b(j + l)]
+        row = [bb[j + l]]
         row.extend(uu[(k + 1) + (j + l) - 1] for k in range(n))
         rows.append(row)
     return det(rows)
 
 
-def psi(b: SequenceFunction, u: Sequence, j: int, n: int) -> Fraction:
+def psi(b: Sequence, u: Sequence, j: int, n: int) -> Fraction:
     """The ratio of f_det(b) of order n to the Hankel determinant of
     order n+1; the quantity the fast engine carries as its M and N
     arrays."""
@@ -244,7 +218,7 @@ def direct_solve(seq: SequencePair, j: int, n: int) -> DirectSolveResult:
     if n == 0:
         return DirectSolveResult(A[j], [], False)
     hi = j + 2 * n - 1
-    _u_window(u, j, hi, f"direct_solve(j={j}, n={n})")
+    _window("u", u, j, hi, f"direct_solve(j={j}, n={n})")
 
     size = n + 1
     # Augmented rows: [1, u_l, ..., u_{l+n-1} | A_l] for l = j..j+n.

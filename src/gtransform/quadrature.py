@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .engines import run_epsilon, run_fs_qd, run_rs
+from .engines import accelerate
 from .tables import (
     ArgumentError,
     EntryStatus,
     ExtrapolationTable,
     InitializationError,
-    SequencePair,
 )
 
 ENGINES = ("fsqd", "rs", "eps")
@@ -218,9 +217,8 @@ def g_transform(
     F_vals = sample_F(spec, x, h, n_max + 1, cfg)
     _check_finite("F", F_vals, x, h)
 
-    if engine == "eps":
-        table = run_epsilon(F_vals)
-    else:
+    u_vals = None
+    if engine != "eps":
         u_vals = [spec.f(x + i * h) for i in range(2 * n_max + 1)]
         _check_finite("f", u_vals, x, h)
         for i, val in enumerate(u_vals):
@@ -229,11 +227,7 @@ def g_transform(
                     f"f(x + {i}h) = f({x + i * h}) is zero; the fsqd and "
                     f"rs engines need nonzero integrand samples"
                 )
-        seq = SequencePair(A=F_vals, u=u_vals, L=n_max)
-        if engine == "fsqd":
-            table = run_fs_qd(seq)
-        else:
-            _, table = run_rs(seq)
+    table = accelerate(engine, F_vals, u_vals)
 
     errors: Optional[Dict[Tuple[int, int], float]] = None
     deltas: Optional[List[Optional[float]]] = None

@@ -50,11 +50,7 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[-+]?[\d_.]*[eE][-+]?([\d_]+)")
 
 
-class ScalarError(ValueError):
-    """Base class for scalar-layer failures."""
-
-
-class ParseError(ScalarError):
+class ParseError(ValueError):
     """Text did not parse as a rational number."""
 
 
@@ -204,12 +200,6 @@ class FloatField:
                 f"cannot convert {type(v).__name__} to a float"
             ) from None
 
-    def zero(self) -> float:
-        return 0.0
-
-    def one(self) -> float:
-        return 1.0
-
     def is_zero(self, v) -> bool:
         return v == 0.0
 
@@ -258,12 +248,6 @@ class RationalField:
         except (OverflowError, ValueError):
             raise ParseError(f"not a finite number: {v!r}") from None
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def is_zero(self, v) -> bool:
         return v == 0
 
@@ -303,12 +287,6 @@ class CountingField(FloatField):
 
     def convert(self, v: Numeric) -> CountingScalar:
         return self.scalar(super().convert(v))
-
-    def zero(self) -> CountingScalar:
-        return self.scalar(0.0)
-
-    def one(self) -> CountingScalar:
-        return self.scalar(1.0)
 
     def structural_divisor(self, d, *ops):
         guarded = super().structural_divisor(d, *ops)

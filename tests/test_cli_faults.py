@@ -111,3 +111,29 @@ def test_bench_L_above_the_cap_is_a_usage_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bench is capped at L <= {cli.MAX_BENCH_L}" in captured.err
+
+
+def test_check_budget_scales_with_the_case_count(capsys):
+    # A fixed budget of 400 draws could never give 401 cases.
+    assert main(["check", "--L", "1", "--cases", "401"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["passed"] is True and doc["first_counterexample"] is None
+
+
+def test_check_cases_above_the_cap_is_a_usage_error(capsys):
+    argv = ["check", "--L", "1", "--cases", str(cli.MAX_CHECK_CASES + 1)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"check is capped at {cli.MAX_CHECK_CASES} cases" in captured.err
+
+
+@pytest.mark.parametrize("method", ["fsqd", "rs", "eps"])
+def test_table_document_above_the_cap_is_a_usage_error(method, tmp_path,
+                                                       capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"A": [1.0] * (cli.MAX_TABLE_VALUES + 1)}))
+    assert main(["table", "--input", str(path), "--method", method]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"A is capped at {cli.MAX_TABLE_VALUES} values" in captured.err

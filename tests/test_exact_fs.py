@@ -18,7 +18,7 @@ import pytest
 
 from gtransform import engines
 from gtransform.engines import run_fs_qd, shanks_prepare
-from gtransform.oracle import SequenceFunction, f_det, hankel_det
+from gtransform.oracle import f_det, hankel_det
 from gtransform.scalars import RationalField
 from gtransform.tables import EntryStatus, InitializationError, SequencePair
 
@@ -151,13 +151,12 @@ def test_sylvester_columns_match_the_determinant_definitions(L):
             [int(x * d_u) for x in u],
             ([int(a * d_A) for a in A], [1] * (L + 1)), L, FIELD))
         assert len(steps) == L and None not in steps
-        ones = SequenceFunction.ones()
-        A_fn = SequenceFunction.from_list("A", A)
+        ones = [1] * (L + 1)
         for n, (G, (fA, f1)) in enumerate(steps, start=1):
             assert len(G) == 2 * L + 3 - 2 * n
             assert len(fA) == len(f1) == L - n + 1
             for j, value in enumerate(G):
                 assert value == hankel_det(u, j, n) * d_u ** n, (n, j)
             for j in range(L - n + 1):
-                assert fA[j] == f_det(A_fn, u, j, n) * d_u ** n * d_A
+                assert fA[j] == f_det(A, u, j, n) * d_u ** n * d_A
                 assert f1[j] == f_det(ones, u, j, n) * d_u ** n

@@ -42,7 +42,7 @@ class TestWithCounting:
 
     def test_empty_computation(self):
         fld = CountingField()
-        fld.zero()
+        fld.convert(0)
         assert fld.ctx.counts.total == 0
 
     def test_subtraction_counts_as_addition(self):
@@ -64,14 +64,14 @@ class TestWithCounting:
         a = fld.convert(1.0) + fld.convert(2.0)
         b = a + a
         with pytest.raises(ZeroDivisionError):
-            b / fld.zero()
+            b / fld.convert(0)
         assert fld.ctx.counts.additions == 2
         assert fld.ctx.counts.divisions == 0
 
     def test_counts_monotone_during_run(self):
         fld = CountingField()
         seen = []
-        acc = fld.zero()
+        acc = fld.convert(0)
         for i in range(1, 6):
             acc = acc + fld.convert(float(i))
             seen.append(fld.ctx.counts.additions)

@@ -80,7 +80,7 @@ class _InputError(Exception):
 def _load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=str, parse_constant=str)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
@@ -96,22 +96,23 @@ def _load_document(path: str) -> dict:
 def _parse_values(raw, field_name: str, fld) -> list:
     """A document list of numbers, each turned into one by fld.convert.
 
-    JSON floats are passed as their repr text, so a literal is read at
-    face value (0.1 means 1/10 in exact mode), and NaN, Infinity and
-    overflowing literals such as 1e400 (read by json as non-finite floats)
-    fail to parse.
+    The document is loaded with every JSON float literal, NaN and
+    Infinity kept as its text, so a literal is read at face value (0.1
+    means 1/10 and 1e400 means 10**400 in exact mode), and NaN, Infinity
+    and, in float mode, an overflowing literal such as 1e400 fail to
+    parse.
     """
     if not isinstance(raw, list) or not raw:
         raise _InputError(f"field {field_name!r} must be a non-empty list")
     out = []
     for i, v in enumerate(raw):
         # bool is an int subclass, but not a number in a document.
-        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
             raise _InputError(
                 f"{field_name}[{i}]: unsupported type {type(v).__name__}"
             )
         try:
-            out.append(fld.convert(repr(v) if isinstance(v, float) else v))
+            out.append(fld.convert(v))
         except ParseError as exc:
             raise _InputError(f"{field_name}[{i}]: {exc}") from None
     return out
@@ -239,6 +240,8 @@ def _render_text(doc: Dict[str, Any], full: bool) -> str:
 
 
 def cmd_table(args) -> int:
+    if args.diagonal_only and args.method != "fsqd":
+        raise _UsageError("--diagonal-only applies to --method fsqd only")
     doc = _load_document(args.input)
     if isinstance(doc.get("A"), list) and len(doc["A"]) > MAX_TABLE_VALUES:
         raise _UsageError(f"a table document's A is capped at "
@@ -257,9 +260,7 @@ def cmd_table(args) -> int:
     # Checked for every method, though eps ignores u.
     u = _parse_values(doc.get("u"), "u", fld) if mode == "general" else None
 
-    method = args.method
-    if method == "fsqd" and args.diagonal_only:
-        method = "fsqd_diag"
+    method = "fsqd_diag" if args.diagonal_only else args.method
     try:
         table = accelerate(method, A, u, field=fld)
     except ArgumentError as exc:
@@ -301,8 +302,8 @@ def cmd_integrate(args) -> int:
         spec, x=args.x, h=args.h, n_max=args.n_max, engine=args.engine, cfg=cfg
     )
     doc = _table_document(result.table, exact=False)
-    doc["x"] = result.x
-    doc["h"] = result.h
+    doc["x"] = args.x
+    doc["h"] = args.h
     doc["reference"] = result.reference
     if result.errors is None:
         doc["errors"] = None
@@ -372,7 +373,7 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--exact", action="store_true",
                          help="exact rational arithmetic")
     p_table.add_argument("--diagonal-only", action="store_true",
-                         help="restrict final divisions to the diagonal")
+                         help="fsqd: restrict final divisions to the diagonal")
     p_table.set_defaults(fn=cmd_table)
 
     p_int = sub.add_parser("integrate", help="accelerate a semi-infinite integral",

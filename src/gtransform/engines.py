@@ -159,7 +159,7 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
     for q, e, _ in _qd_sweep(u, L, field):
         q_cols.append(q)
         e_cols.append(e)
-    return QdTable(L, q_cols, e_cols)
+    return QdTable(q_cols, e_cols)
 
 
 def _sylvester_sweep(g, bs, L: int, field):
@@ -258,25 +258,24 @@ def run_fs_qd(
     N = [one / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
     columns = [_settled(A, field)]
     sweep = islice(_qd_sweep(u, L, field), 1, None)
+    # Each N slot has the status of its M slot: the two are set together.
     for n, (_, _, d) in enumerate(sweep, start=1):
         M_prev, N_prev, M, N = M, N, [], []
         for j in range(L - n + 1):
-            m1, m0, n1, n0, den = (
-                M_prev[j + 1], M_prev[j], N_prev[j + 1], N_prev[j], d[j]
-            )
-            status = _blocked(m1, m0, n1, n0, den)
+            m1, m0, den = M_prev[j + 1], M_prev[j], d[j]
+            status = _blocked(m1, m0, den)
             if status is None and den is None:
                 status = BREAKDOWN
             if status is None:
                 M.append((m1 - m0) / den)
-                N.append((n1 - n0) / den)
+                N.append((N_prev[j + 1] - N_prev[j]) / den)
             else:
                 M.append(status)
                 N.append(status)
         width = 1 if diagonal_only else L - n + 1
         col = []
         for me, ne in zip(M[:width], N[:width]):
-            status = _blocked(me, ne)
+            status = _blocked(me)
             # Checked before dividing: a non-finite M or N is never divided.
             if status is None and (
                 field.is_zero(ne) or not (finite(me) and finite(ne))
@@ -357,7 +356,7 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
         s_cols.append(s)
         r_cols.append(r_next)
         columns.append(_settled(col, field))
-    return RsTable(L, r_cols, s_cols), ExtrapolationTable("rs", L, columns)
+    return RsTable(r_cols, s_cols), ExtrapolationTable("rs", L, columns)
 
 
 def run_epsilon(A, field=None) -> ExtrapolationTable:

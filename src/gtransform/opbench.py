@@ -67,7 +67,7 @@ def bench_on(
     valid = all(
         entry.status is not EntryStatus.BREAKDOWN for _, entry in table.items()
     )
-    counts = fld.ctx.counts
+    counts = fld.counts
     L2 = float(L * L)
     normalized = {
         "additions": counts.additions / L2,

@@ -166,8 +166,6 @@ class GTransformResult:
     """
 
     table: ExtrapolationTable
-    x: float
-    h: float
     reference: Optional[float]
     errors: Optional[Dict[Tuple[int, int], float]]
     diagonal_deltas: Optional[List[Optional[float]]]
@@ -203,7 +201,7 @@ def g_transform(
     u entirely and runs on the F samples alone with its depth halved; it
     is exposed for comparison only.  A sample that is not finite (the
     integrand or its running integral overflowed) is an
-    InitializationError.
+    InitializationError, and so, from the engine, is a zero sample of f.
     """
     if n_max < 1:
         raise ArgumentError(f"n_max must be >= 1, got {n_max}")
@@ -221,12 +219,6 @@ def g_transform(
     if engine != "eps":
         u_vals = [spec.f(x + i * h) for i in range(2 * n_max + 1)]
         _check_finite("f", u_vals, x, h)
-        for i, val in enumerate(u_vals):
-            if val == 0.0:
-                raise InitializationError(
-                    f"f(x + {i}h) = f({x + i * h}) is zero; the fsqd and "
-                    f"rs engines need nonzero integrand samples"
-                )
     table = accelerate(engine, F_vals, u_vals)
 
     errors: Optional[Dict[Tuple[int, int], float]] = None
@@ -246,8 +238,6 @@ def g_transform(
                 deltas.append(None)
     return GTransformResult(
         table=table,
-        x=x,
-        h=h,
         reference=spec.reference,
         errors=errors,
         diagonal_deltas=deltas,

@@ -2,7 +2,7 @@
 
 Three realizations share one small protocol: plain machine doubles, exact
 rationals, and counting doubles.  A counting scalar is a float that tallies
-every add, subtract, multiply and divide in its field's context; to every
+every add, subtract, multiply and divide in its field's counts; to every
 other operation, and to the float field's guards, it is a plain float.
 The breakdown policy lives here and nowhere else: engines
 never test a divisor or a value themselves.  They ask the field whether a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -101,16 +101,6 @@ class OpCounts:
         }
 
 
-@dataclass
-class CountingContext:
-    """Accumulator owned by one evaluation scope.
-
-    One context per run; concurrent runs each create their own.
-    """
-
-    counts: OpCounts = dc_field(default_factory=OpCounts)
-
-
 def _refuse(scalar, other):
     raise TypeError(
         f"cannot mix a counting scalar with {type(other).__name__}"
@@ -118,7 +108,7 @@ def _refuse(scalar, other):
 
 
 class CountingScalar(float):
-    """A double that reports its arithmetic to its field's CountingContext.
+    """A double that reports its arithmetic to its field's OpCounts.
 
     Only + - * / count.  Each computes with float's own operator, so
     results are bit-identical to running the same computation on plain
@@ -127,29 +117,29 @@ class CountingScalar(float):
     free; negation alone keeps the result a counting scalar.  Both
     operands of + - * / must be counting scalars: mixing in a plain
     number, on either side, raises TypeError.  Scalars are built through
-    a CountingField, whose own subclass carries its context as the class
-    attribute ctx.
+    a CountingField, whose own subclass carries its tally as the class
+    attribute counts.
     """
 
     __slots__ = ()
-    ctx: CountingContext
+    counts: OpCounts
 
     def __add__(self, other):
         if not isinstance(other, CountingScalar):
             _refuse(self, other)
-        self.ctx.counts.additions += 1
+        self.counts.additions += 1
         return type(self)(float.__add__(self, other))
 
     def __sub__(self, other):
         if not isinstance(other, CountingScalar):
             _refuse(self, other)
-        self.ctx.counts.additions += 1
+        self.counts.additions += 1
         return type(self)(float.__sub__(self, other))
 
     def __mul__(self, other):
         if not isinstance(other, CountingScalar):
             _refuse(self, other)
-        self.ctx.counts.multiplications += 1
+        self.counts.multiplications += 1
         return type(self)(float.__mul__(self, other))
 
     def __truediv__(self, other):
@@ -157,7 +147,7 @@ class CountingScalar(float):
             _refuse(self, other)
         # Divided before counting, so a zero divisor raises uncounted.
         quotient = float.__truediv__(self, other)
-        self.ctx.counts.divisions += 1
+        self.counts.divisions += 1
         return type(self)(quotient)
 
     def __neg__(self):
@@ -271,18 +261,18 @@ class CountingField(FloatField):
     Negligibility, finiteness and floor decisions are inherited from
     FloatField and use float's own abs and comparisons, so they are free;
     only the arithmetic the engine actually performs is counted.  Each
-    field owns a fresh CountingContext and its own CountingScalar
-    subclass, fld.scalar, whose class attribute ctx is that context:
-    fld.ctx.counts holds the tally of every scalar built through fld.
+    field owns a fresh OpCounts and its own CountingScalar subclass,
+    fld.scalar, whose class attribute counts is that tally: fld.counts
+    holds the tally of every scalar built through fld.
     """
 
     name = "counting"
 
     def __init__(self):
-        self.ctx = CountingContext()
+        self.counts = OpCounts()
         self.scalar = type(
             "CountingScalar", (CountingScalar,),
-            {"__slots__": (), "ctx": self.ctx},
+            {"__slots__": (), "counts": self.counts},
         )
 
     def convert(self, v: Numeric) -> CountingScalar:

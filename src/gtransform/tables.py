@@ -145,8 +145,7 @@ class QdTable:
     are exactly the entries determined by u_0..u_2L.
     """
 
-    def __init__(self, L: int, q: List[list], e: List[list]) -> None:
-        self.L = L
+    def __init__(self, q: List[list], e: List[list]) -> None:
         self.q = _ColumnTable(q)
         self.e = _ColumnTable(e)
 
@@ -159,8 +158,7 @@ class RsTable:
     0 <= j <= 2(L-n)+1.
     """
 
-    def __init__(self, L: int, r: List[list], s: List[list]) -> None:
-        self.L = L
+    def __init__(self, r: List[list], s: List[list]) -> None:
         self.r = _ColumnTable(r)
         self.s = _ColumnTable(s)
 

@@ -1,8 +1,9 @@
 """CLI boundaries: a negative number in exponent form is a value, not an
 option, check refuses a case count that would check nothing, table
-checks a document's mode and u alike for every method, an --output file
-that cannot be written is an input error, and a size above its cap is a
-usage error before any work starts."""
+checks a document's mode and u alike for every method and reads a float
+literal at face value, --diagonal-only is refused outside fsqd, an
+--output file that cannot be written is an input error, and a size above
+its cap is a usage error before any work starts."""
 
 from __future__ import annotations
 
@@ -58,6 +59,35 @@ def test_table_checks_u_for_every_method(doc, error, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"input error: {error}" in captured.err
+
+
+def test_exact_reads_a_float_literal_at_face_value(tmp_path, capsys):
+    # Neither literal survives a trip through a double: the first rounds
+    # to 0.1, the second underflows to zero.
+    path = tmp_path / "in.json"
+    path.write_text('{"A": [1, 0.10000000000000001, 2]}')
+    argv = ["table", "--input", str(path), "--method", "eps", "--exact"]
+    assert main(argv + ["--format", "text", "--full"]) == 0
+    assert "(1,0) valid 10000000000000001/100000000000000000\n" in (
+        capsys.readouterr().out
+    )
+    path.write_text('{"A": [1, 0.1, 2], "u": [1, 1e-400, 3, 4, 5]}')
+    argv = ["table", "--input", str(path), "--method", "fsqd", "--exact"]
+    assert main(argv) == 0
+    rows = _strict_json(capsys.readouterr().out)["table"]
+    assert [r["value"] for r in rows if r["n"] == 0] == ["1", "1/10", "2"]
+
+
+@pytest.mark.parametrize("method", ["rs", "eps"])
+def test_diagonal_only_outside_fsqd_is_a_usage_error(method, tmp_path,
+                                                     capsys):
+    # Refused before the document is read: reading it would exit 2.
+    argv = ["table", "--input", str(tmp_path / "missing.json"),
+            "--method", method, "--diagonal-only"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--diagonal-only applies to --method fsqd only" in captured.err
 
 
 @pytest.mark.parametrize("target", [lambda d: d / "no" / "x.json",

@@ -33,7 +33,7 @@ def test_mixing_with_a_plain_float_raises_and_counts_nothing(op):
         op(x, 1.0)
     with pytest.raises(TypeError):
         op(1.0, x)
-    assert fld.ctx.counts.total == 0
+    assert fld.counts.total == 0
 
 
 def test_negation_stays_counting_and_hashes_as_a_float():
@@ -45,9 +45,9 @@ def test_negation_stays_counting_and_hashes_as_a_float():
     assert isinstance(y, CountingScalar) and y == 3.0
     assert hash(x) == hash(-3.0)
     assert {x: "key"}[-3.0] == "key"
-    assert fld.ctx.counts.total == 0
+    assert fld.counts.total == 0
     y + x
-    assert fld.ctx.counts.additions == 1
+    assert fld.counts.additions == 1
 
 
 def test_interleaved_fields_keep_separate_tallies():
@@ -58,10 +58,10 @@ def test_interleaved_fields_keep_separate_tallies():
         a = a + b
         c = c * d
         c = c / d
-    assert first.ctx.counts.as_dict() == {
+    assert first.counts.as_dict() == {
         "additions": 3, "multiplications": 0, "divisions": 0,
     }
-    assert second.ctx.counts.as_dict() == {
+    assert second.counts.as_dict() == {
         "additions": 0, "multiplications": 3, "divisions": 3,
     }
 
@@ -97,7 +97,7 @@ def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
     assert same(plain.value_divisor(cd, *cops), plain.value_divisor(d, *ops))
     assert same(plain.structural_divisor(cd, *cops),
                 plain.structural_divisor(d, *ops))
-    assert counting.ctx.counts.total == 0
+    assert counting.counts.total == 0
 
 
 def test_infer_field_picks_the_float_field():

@@ -43,7 +43,7 @@ def _run(call, make):
     field."""
     fld = make()
     table = call(fld)
-    counts = fld.ctx.counts if isinstance(fld, CountingField) else None
+    counts = fld.counts if isinstance(fld, CountingField) else None
     return table.method, list(table.slots()), counts
 
 

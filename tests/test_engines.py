@@ -26,7 +26,7 @@ from gtransform.engines import (
     run_rs,
     shanks_prepare,
 )
-from gtransform.oracle import e_ref, q_ref, r_ref, s_ref
+from gtransform.oracle import direct_solve, e_ref, q_ref, r_ref, s_ref
 from gtransform.scalars import FloatField, RationalField
 from gtransform.tables import (
     ArgumentError,
@@ -210,6 +210,27 @@ class TestRs:
         corner = rs.r.get(0, L + 1)
         assert corner.status is EntryStatus.VALID
         assert corner.value == r_ref(u, 0, L + 1)
+
+    def test_breaks_down_where_fsqd_and_the_system_do_not(self):
+        # u_2/u_1 = 1 makes s[1][1] = u_2/u_1 - 1 zero, and the r update
+        # divides by it: rs loses three nonsingular entries.  (1,1) is
+        # singular, and both engines break down there.
+        seq = SequencePair(A=[F(3), F(-1), F(4), F(2)],
+                           u=[F(x) for x in (1, 2, 2, 5, 7, 3, 9)])
+        rs, table = run_rs(seq, field=RAT)
+        fsqd = run_fs_qd(seq, field=RAT)
+        assert rs.s.get(1, 1).value == 0
+        for (j, n), entry in fsqd.items():
+            solved = direct_solve(seq, j, n)
+            if (j, n) == (1, 1):
+                assert solved.singular and not entry.valid
+                assert not table.get(j, n).valid
+                continue
+            assert entry.value == solved.value
+            lost = (j, n) in ((0, 2), (0, 3), (1, 2))
+            assert table.get(j, n).status is (
+                EntryStatus.BREAKDOWN if lost else EntryStatus.VALID
+            )
 
 
 class TestEpsilon:

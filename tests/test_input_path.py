@@ -188,6 +188,29 @@ def test_any_document_exits_cleanly_with_strict_json(
         json.loads(out, parse_constant=refuse)
 
 
+DECIMAL_LITERALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(
+        "{}{}{}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.from_regex(r"(0|[1-9][0-9]{0,19})", fullmatch=True),
+        st.from_regex(r"(\.[0-9]{1,25})?", fullmatch=True),
+        st.integers(-345, 310),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DECIMAL_LITERALS)
+def test_float_field_reads_a_json_float_literal_as_float_does(text):
+    # The CLI hands a document's float literals to convert as their text.
+    if math.isinf(float(text)):
+        with pytest.raises(ParseError, match="outside the double range"):
+            FloatField().convert(text)
+    else:
+        assert FloatField().convert(text) == float(text)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_emit_refuses_a_non_finite_value(capsys, value):
     doc = {"method": "fsqd", "L": 0, "diagonal": [value]}

@@ -95,7 +95,7 @@ def test_manual_tally_smallest_case():
         A=[fld.convert(v) for v in A], u=[fld.convert(v) for v in u]
     )
     run_fs_qd(seq, field=fld)
-    counts = fld.ctx.counts
+    counts = fld.counts
     assert counts.as_dict() == {
         "additions": 14,
         "multiplications": 2,

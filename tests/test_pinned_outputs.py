@@ -165,7 +165,7 @@ def _engine_lines(name, make, A, u, E, L):
         except ValueError as exc:
             yield f"raised {type(exc).__name__}"
         if name == "counting":
-            c = fld.ctx.counts
+            c = fld.counts
             yield f"counts {c.additions} {c.multiplications} {c.divisions}"
 
 

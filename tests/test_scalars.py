@@ -24,7 +24,7 @@ class TestWithCounting:
         fld = CountingField()
         result = fld.convert(2.0) + fld.convert(3.0)
         assert float(result) == 5.0
-        assert fld.ctx.counts.as_dict() == {
+        assert fld.counts.as_dict() == {
             "additions": 1,
             "multiplications": 0,
             "divisions": 0,
@@ -34,7 +34,7 @@ class TestWithCounting:
         fld = CountingField()
         a, b, c, d = (fld.convert(v) for v in (1.0, 2.0, 3.0, 4.0))
         result = ((a + b) * c) / d
-        counts = fld.ctx.counts
+        counts = fld.counts
         assert float(result) == 2.25
         assert counts.additions == 1
         assert counts.multiplications == 1
@@ -43,13 +43,13 @@ class TestWithCounting:
     def test_empty_computation(self):
         fld = CountingField()
         fld.convert(0)
-        assert fld.ctx.counts.total == 0
+        assert fld.counts.total == 0
 
     def test_subtraction_counts_as_addition(self):
         fld = CountingField()
         fld.convert(5.0) - fld.convert(2.0)
-        assert fld.ctx.counts.additions == 1
-        assert fld.ctx.counts.multiplications == 0
+        assert fld.counts.additions == 1
+        assert fld.counts.multiplications == 0
 
     def test_negation_and_comparison_are_free(self):
         fld = CountingField()
@@ -57,7 +57,7 @@ class TestWithCounting:
         b = -a
         assert b < a
         assert abs(b) == a
-        assert fld.ctx.counts.total == 0
+        assert fld.counts.total == 0
 
     def test_division_by_zero_carries_partial_counts(self):
         fld = CountingField()
@@ -65,8 +65,8 @@ class TestWithCounting:
         b = a + a
         with pytest.raises(ZeroDivisionError):
             b / fld.convert(0)
-        assert fld.ctx.counts.additions == 2
-        assert fld.ctx.counts.divisions == 0
+        assert fld.counts.additions == 2
+        assert fld.counts.divisions == 0
 
     def test_counts_monotone_during_run(self):
         fld = CountingField()
@@ -74,7 +74,7 @@ class TestWithCounting:
         acc = fld.convert(0)
         for i in range(1, 6):
             acc = acc + fld.convert(float(i))
-            seen.append(fld.ctx.counts.additions)
+            seen.append(fld.counts.additions)
         assert seen == sorted(seen)
         assert seen[-1] == 5
 
@@ -138,7 +138,7 @@ def test_counting_matches_plain_floats_bitwise():
 
     fld = CountingField()
     counted = work([fld.convert(v) for v in raw])
-    counts = fld.ctx.counts
+    counts = fld.counts
     assert float(counted) == plain
     assert counts.additions == 2 * 39
     assert counts.multiplications == 39
@@ -195,4 +195,4 @@ def test_counting_field_runs_inside_context():
     fld = CountingField()
     result = fld.convert(6.0) / fld.convert(3.0)
     assert float(result) == 2.0
-    assert fld.ctx.counts.divisions == 1
+    assert fld.counts.divisions == 1

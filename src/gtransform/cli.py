@@ -5,10 +5,11 @@ semi-infinite integral driver), bench (operation counts), check (the
 exact consistency suite).  Machine output is strict JSON on stdout;
 diagnostics go to stderr only; table and integrate can render text
 instead (--format, --full).  Exit codes: 0 success, 2 input/parse error
-(an --output file that cannot be written included), 3 when every entry
-beyond column 0 broke down, 64 usage error (a size above its MAX_* cap
-included).  JSON is laid out byte for byte as json.dumps(indent=2) lays
-it out.  The parser is built once, when this module is imported.
+(an --output file that cannot be written included), 3 when no entry
+beyond column 0 is valid and at least one of them broke down, 64 usage
+error (a size above its MAX_* cap included).  JSON is laid out byte for
+byte as json.dumps(indent=2) lays it out.  The parser is built once,
+when this module is imported.
 
 A table document is checked here only for its JSON shape; every value is
 turned into a number by the chosen field's convert, JSON floats as their
@@ -269,7 +270,7 @@ def cmd_table(args) -> int:
 
     out = _table_document(table, exact)
     _emit(out, args)
-    if table.all_beyond_first_column_broken():
+    if table.broken_beyond_first_column():
         return EXIT_ALL_BREAKDOWN
     return EXIT_OK
 
@@ -305,15 +306,11 @@ def cmd_integrate(args) -> int:
     doc["x"] = args.x
     doc["h"] = args.h
     doc["reference"] = result.reference
+    doc["errors"] = result.errors
     if result.errors is None:
-        doc["errors"] = None
         doc["diagonal_deltas"] = result.diagonal_deltas
-    else:
-        doc["errors"] = [
-            result.errors.get((0, n)) for n in range(result.table.limit + 1)
-        ]
     _emit(doc, args)
-    if result.table.all_beyond_first_column_broken():
+    if result.table.broken_beyond_first_column():
         return EXIT_ALL_BREAKDOWN
     return EXIT_OK
 

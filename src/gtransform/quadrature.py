@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .engines import accelerate
-from .tables import (
-    ArgumentError,
-    EntryStatus,
-    ExtrapolationTable,
-    InitializationError,
-)
+from .tables import ArgumentError, ExtrapolationTable, InitializationError
 
 ENGINES = ("fsqd", "rs", "eps")
 
@@ -160,14 +155,15 @@ def sample_F(
 class GTransformResult:
     """An accelerated integral table at one (x, h).
 
-    errors holds |value - reference| per valid entry when the integral's
-    value is known; otherwise diagonal_deltas reports the successive
-    diagonal differences |T(0,n) - T(0,n-1)| as a heuristic proxy.
+    errors[n] is |T(0,n) - reference| for n = 0..limit when the
+    integral's value is known; otherwise diagonal_deltas reports the
+    successive diagonal differences |T(0,n) - T(0,n-1)| as a heuristic
+    proxy.  Either list holds None where an entry it reads is not valid.
     """
 
     table: ExtrapolationTable
     reference: Optional[float]
-    errors: Optional[Dict[Tuple[int, int], float]]
+    errors: Optional[List[Optional[float]]]
     diagonal_deltas: Optional[List[Optional[float]]]
 
     def diagonal_values(self) -> List[Optional[float]]:
@@ -221,24 +217,14 @@ def g_transform(
         _check_finite("f", u_vals, x, h)
     table = accelerate(engine, F_vals, u_vals)
 
-    errors: Optional[Dict[Tuple[int, int], float]] = None
-    deltas: Optional[List[Optional[float]]] = None
-    if spec.reference is not None:
-        ref = spec.reference
-        errors = {(j, n): abs(float(slot) - ref)
-                  for j, n, slot in table.slots()
-                  if not isinstance(slot, EntryStatus)}
+    result = GTransformResult(table, spec.reference, None, None)
+    diag = result.diagonal_values()
+    ref = spec.reference
+    if ref is not None:
+        result.errors = [None if v is None else abs(v - ref) for v in diag]
     else:
-        deltas = []
-        diag = table.diagonal()
-        for n in range(1, len(diag)):
-            if diag[n].valid and diag[n - 1].valid:
-                deltas.append(abs(float(diag[n].value) - float(diag[n - 1].value)))
-            else:
-                deltas.append(None)
-    return GTransformResult(
-        table=table,
-        reference=spec.reference,
-        errors=errors,
-        diagonal_deltas=deltas,
-    )
+        result.diagonal_deltas = [
+            None if a is None or b is None else abs(b - a)
+            for a, b in zip(diag, diag[1:])
+        ]
+    return result

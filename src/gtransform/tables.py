@@ -128,13 +128,12 @@ class ExtrapolationTable(_ColumnTable):
                 return n, slot
         return None
 
-    def all_beyond_first_column_broken(self) -> bool:
-        """True when every entry with n >= 1 has breakdown status (and at
-        least one such entry exists)."""
+    def broken_beyond_first_column(self) -> bool:
+        """True when no entry with n >= 1 is valid and at least one of
+        them broke down; the rest, if any, were not computed."""
         later = [slot for col in self.columns[1:] for slot in col]
-        return bool(later) and all(
-            slot is EntryStatus.BREAKDOWN for slot in later
-        )
+        return (any(slot is EntryStatus.BREAKDOWN for slot in later)
+                and all(isinstance(slot, EntryStatus) for slot in later))
 
 
 class QdTable:

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from gtransform import cli
 from gtransform.cli import main
+from gtransform.crosscheck import CheckReport
 from gtransform.scalars import rational_from_text
 
 
@@ -48,6 +50,26 @@ class TestTableCommand:
         cell = next(r for r in doc["table"] if (r["j"], r["n"]) == (0, 1))
         assert cell["status"] == "breakdown"
         assert cell["value"] is None
+
+    @pytest.mark.parametrize("diagonal_only", [False, True],
+                             ids=["full", "diagonal-only"])
+    @pytest.mark.parametrize("u, want", [
+        (["1", "1/2", "1/4", "1/8", "1/16"], 3),
+        # (1,1) needs u_3: not computed, and no entry past column 0 valid.
+        (["1", "1/2", "1/4"], 3),
+        # Nothing past column 0 is computed, so nothing broke down.
+        (["1", "1/2"], 0),
+    ], ids=["geometric", "short", "shorter"])
+    def test_exit_3_when_no_entry_past_column_0_is_valid(
+        self, tmp_path, capsys, u, want, diagonal_only
+    ):
+        path = write_doc(tmp_path, "in.json", {"A": [1, 2, 3], "u": u})
+        argv = ["table", "--input", path, "--method", "fsqd", "--exact"]
+        code, doc = run_json(capsys, argv + ["--diagonal-only"] * diagonal_only)
+        assert code == want
+        later = {r["status"] for r in doc["table"] if r["n"] >= 1}
+        assert "valid" not in later
+        assert ("breakdown" in later) == (want == 3)
 
     def test_empty_A_is_input_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, "in.json", {"A": []})
@@ -107,10 +129,14 @@ class TestTableCommand:
         assert code == 2
         assert "difference" in capsys.readouterr().err
 
-    def test_malformed_json_is_input_error(self, tmp_path):
+    def test_malformed_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["table", "--input", str(path), "--method", "eps"]) == 2
+        # Valid JSON whose top level is not an object is refused too.
+        path.write_text("[1, 2, 3]")
+        assert main(["table", "--input", str(path), "--method", "eps"]) == 2
+        assert "top level must be an object" in capsys.readouterr().err
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert (
@@ -216,6 +242,18 @@ class TestIntegrateCommand:
         assert code == 0
         assert doc["errors"][10] <= 0.01 * doc["errors"][1]
 
+    def test_text_without_reference_shows_diagonal_deltas(self, capsys):
+        argv = ["integrate", "--integrand", "sinc", "--a", "0.5", "--x", "1",
+                "--n-max", "4"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["errors"] is None
+        assert main(argv + ["--format", "text"]) == 0
+        out = capsys.readouterr().out
+        shown = ", ".join(f"{d:.3e}" for d in doc["diagonal_deltas"])
+        assert f"\ndiagonal deltas: {shown}\n" in out
+        assert "error" not in out
+
     def test_unknown_integrand_lists_catalog(self, capsys):
         code = main(
             ["integrate", "--integrand", "nosuch", "--x", "1", "--n-max", "2"]
@@ -259,6 +297,20 @@ class TestCheckCommand:
 
     def test_oversized_L_is_usage_error(self, capsys):
         assert main(["check", "--L", "6"]) == 64
+
+    def test_counterexample_exits_1_and_names_it_on_stderr(
+        self, monkeypatch, capsys
+    ):
+        report = CheckReport(cases=3, failures=["fsqd != rs at (0,1)"])
+        monkeypatch.setattr(cli, "run_equivalence_suite",
+                            lambda L, cases, seed: report)
+        code, doc = run_json(capsys, ["check", "--L", "2"])
+        assert code == 1
+        assert doc == {"cases": 3, "passed": False,
+                       "first_counterexample": "fsqd != rs at (0,1)"}
+        assert main(["check", "--L", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "counterexample: fsqd != rs at (0,1)\n")
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from gtransform.scalars import (
     CountingField,
     CountingScalar,
     FloatField,
+    RationalField,
     infer_field,
 )
 
@@ -104,3 +106,9 @@ def test_infer_field_picks_the_float_field():
     fld = CountingField()
     assert type(infer_field([fld.convert(1.0)])) is FloatField
     assert type(infer_field([1, fld.convert(2.0)])) is FloatField
+
+
+def test_infer_field_picks_exact_rationals_without_a_float():
+    assert type(infer_field([1, Fraction(1, 3)])) is RationalField
+    assert type(infer_field([2, 3])) is RationalField
+    assert type(infer_field([])) is RationalField

@@ -132,6 +132,8 @@ class TestFsQd:
         t = run_fs_qd(seq, field=RAT)
         assert t.get(0, 1).status is EntryStatus.BREAKDOWN
         assert t.get(0, 2).status is EntryStatus.BREAKDOWN
+        with pytest.raises(ArgumentError, match=r"\(0,1\) is breakdown"):
+            t.value(0, 1)
 
     def test_float_geometric_continues_to_limit(self):
         """In float arithmetic the degenerate divisor is replaced by a
@@ -362,7 +364,12 @@ def test_breakdown_propagates_to_dependents():
     assert t.get(0, 1).status is EntryStatus.BREAKDOWN
     # (0,2) consumes (0,1) and (1,1); it cannot be valid
     assert t.get(0, 2).status is EntryStatus.BREAKDOWN
-    assert t.all_beyond_first_column_broken()
+    assert t.broken_beyond_first_column()
+
+
+def test_sequence_pair_refuses_A_of_another_length_than_L_plus_1():
+    with pytest.raises(ArgumentError, match=r"L\+1 = 3 values, got 2"):
+        SequencePair(A=[F(1), F(2)], u=HARMONIC[:5], L=2)
 
 
 def test_short_u_general_mode():

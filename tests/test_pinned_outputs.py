@@ -30,7 +30,7 @@ from gtransform.engines import (
 from gtransform.scalars import CountingField, FloatField, RationalField
 from gtransform.tables import SequencePair
 
-PINNED_SHA256 = "00c54a2e9205281659813a274404ed961ffc31c63f039818b9736ec2c47394e0"
+PINNED_SHA256 = "ac92a8ad9b0b07ce594f69e1ac6e512ac687ce1facf9746ebf85035e35b7f421"
 
 
 def _token(v) -> str:
@@ -123,7 +123,7 @@ def _table_lines(tag, table):
     best = table.best()
     best = "-" if best is None else f"{best[0]} {_token(best[1])}"
     yield f"{tag} best {best}"
-    yield f"{tag} broken {table.all_beyond_first_column_broken()}"
+    yield f"{tag} broken {table.broken_beyond_first_column()}"
 
 
 def _array_lines(tag, array):

@@ -54,6 +54,11 @@ class TestSampleF:
             panel = simpson_panel(spec.f, x + (i - 1) * h, x + i * h, 16)
             assert vals[i] == vals[i - 1] + panel  # bit-exact accumulation
 
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_non_positive_h_rejected(self, h):
+        with pytest.raises(ArgumentError, match="h must be positive"):
+            sample_F(make_spec("exp_decay"), 1.0, h, 2, QuadratureConfig())
+
     def test_x_below_a_rejected(self):
         spec = make_spec("exp_decay", a=1.0)
         with pytest.raises(ArgumentError):
@@ -87,9 +92,13 @@ class TestKernelExactness:
     def test_exp_decay_all_orders(self):
         spec = make_spec("exp_decay")
         result = g_transform(spec, x=0.5, h=1.0, n_max=3, cfg=ANALYTIC)
-        for (j, n), err in result.errors.items():
-            if n >= 1:
+        for (j, n), e in result.table.items():
+            if n >= 1 and e.valid:
+                err = abs(float(e.value) - result.reference)
                 assert err <= 1e-12, f"({j},{n}) err {err}"
+        for n, err in enumerate(result.errors):
+            if n >= 1:
+                assert err <= 1e-12, f"(0,{n}) err {err}"
 
     def test_exp_decay_grid(self):
         """A single decaying exponential is inside the order-1 kernel, so
@@ -159,7 +168,9 @@ class TestResultShape:
         result = g_transform(spec, x=0.5, h=1.0, n_max=2, cfg=ANALYTIC)
         assert isinstance(result, GTransformResult)
         assert result.reference == pytest.approx(1.0)
-        assert (0, 0) in result.errors
+        assert len(result.errors) == result.table.limit + 1
+        assert result.errors[0] is not None
+        assert result.diagonal_deltas is None
 
     def test_no_reference_gives_diagonal_deltas(self):
         # sinc from a shifted lower limit has no stored reference
@@ -187,11 +198,12 @@ class TestResultShape:
 @pytest.mark.parametrize("integrand", ["exp_decay", "sinc"])
 def test_errors_are_read_from_the_table_in_items_order(engine, integrand):
     # exp_decay's samples are all but geometric, so rs and eps break down
-    # past their first orders; errors skip those entries.
+    # past their first orders; errors hold None at those diagonal entries.
     result = g_transform(make_spec(integrand), x=1.0, h=1.0, n_max=8,
                          engine=engine)
     want = {(j, n): abs(float(e.value) - result.reference)
             for (j, n), e in result.table.items() if e.valid}
-    assert list(result.errors.items()) == list(want.items())
+    assert result.errors == [want.get((0, n))
+                             for n in range(result.table.limit + 1)]
     if integrand == "exp_decay" and engine != "fsqd":
         assert len(want) < len(result.table)

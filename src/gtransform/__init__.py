@@ -31,7 +31,6 @@ from .engines import (
     shanks_prepare,
 )
 from .quadrature import (
-    ENGINES,
     QuadratureConfig,
     g_transform,
     make_spec,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentError",
     "CountingField",
-    "ENGINES",
     "Entry",
     "EntryStatus",
     "ExtrapolationTable",

@@ -29,9 +29,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
 from .crosscheck import run_equivalence_suite
-from .engines import accelerate
-from .opbench import METHODS, MIN_L, bench_method
-from .quadrature import ENGINES, QuadratureConfig, g_transform, make_spec
+from .engines import METHODS, accelerate
+from .opbench import MIN_L, bench_method
+from .quadrature import QuadratureConfig, g_transform, make_spec
 from .scalars import FloatField, ParseError, RationalField
 from .tables import (ArgumentError, EntryStatus, ExtrapolationTable,
                      InitializationError)
@@ -241,8 +241,6 @@ def _render_text(doc: Dict[str, Any], full: bool) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.diagonal_only and args.method != "fsqd":
-        raise _UsageError("--diagonal-only applies to --method fsqd only")
     doc = _load_document(args.input)
     if isinstance(doc.get("A"), list) and len(doc["A"]) > MAX_TABLE_VALUES:
         raise _UsageError(f"a table document's A is capped at "
@@ -261,9 +259,8 @@ def cmd_table(args) -> int:
     # Checked for every method, though eps ignores u.
     u = _parse_values(doc.get("u"), "u", fld) if mode == "general" else None
 
-    method = "fsqd_diag" if args.diagonal_only else args.method
     try:
-        table = accelerate(method, A, u, field=fld)
+        table = accelerate(args.method, A, u, field=fld)
     except ArgumentError as exc:
         # A holds L+1 values, so only an overlong u is refused here.
         raise _InputError(f"field 'u': {exc}") from None
@@ -318,11 +315,7 @@ def cmd_integrate(args) -> int:
 def cmd_bench(args) -> int:
     if args.L > MAX_BENCH_L:
         raise _UsageError(f"bench is capped at L <= {MAX_BENCH_L}, got {args.L}")
-    try:
-        report = bench_method(args.method, args.L, args.seed)
-    except ArgumentError as exc:
-        raise _UsageError(str(exc)) from None
-    doc = report.as_dict()
+    doc = bench_method(args.method, args.L, args.seed).as_dict()
     doc["seed"] = args.seed
     _emit(doc, args)
     return EXIT_OK
@@ -366,11 +359,9 @@ def _build_parser() -> _Parser:
     p_table = sub.add_parser("table", help="run an engine on a sequence file",
                              parents=[output, render])
     p_table.add_argument("--input", required=True, help="InputDocument JSON path")
-    p_table.add_argument("--method", required=True, choices=ENGINES)
+    p_table.add_argument("--method", required=True, choices=METHODS)
     p_table.add_argument("--exact", action="store_true",
                          help="exact rational arithmetic")
-    p_table.add_argument("--diagonal-only", action="store_true",
-                         help="fsqd: restrict final divisions to the diagonal")
     p_table.set_defaults(fn=cmd_table)
 
     p_int = sub.add_parser("integrate", help="accelerate a semi-infinite integral",
@@ -385,7 +376,7 @@ def _build_parser() -> _Parser:
                        help="sample spacing")
     p_int.add_argument("--n-max", type=int, required=True, dest="n_max",
                        help=f"transformation order, at most {MAX_N_MAX}")
-    p_int.add_argument("--engine", choices=ENGINES, default="fsqd")
+    p_int.add_argument("--engine", choices=METHODS, default="fsqd")
     p_int.add_argument("--subdivisions", type=int, default=64,
                        help="Simpson subdivisions per panel, at most "
                        f"{MAX_SUBDIVISIONS}")

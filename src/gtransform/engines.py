@@ -77,6 +77,12 @@ def _settled(col, field) -> list:
     ]
 
 
+def _pad(col, length: int) -> list:
+    """col extended to length slots, each new one not computed: the slots
+    whose operands lie past the end of a short u, or past a diagonal."""
+    return col + [NOT_COMPUTED] * (length - len(col))
+
+
 def _input(field, L: int, A, u=()):
     """The field (inferred from A and u when None), and A and u converted
     through its convert: the one input path of every engine.
@@ -120,16 +126,12 @@ def _qd_sweep(u, L: int, field):
     are empty.  A short u leaves the entries that would need the missing
     tail not computed.
     """
-    e = [field.convert(0)] * (2 * L + 1)
-    q = [
-        u[j + 1] / u[j] if j + 1 < len(u) else NOT_COMPUTED
-        for j in range(2 * L)
-    ]
+    q = _pad([u1 / u0 for u1, u0 in zip(u[1:], u)], 2 * L)
+    e = [field.convert(0)] * (len(q) + 1)
     yield [], e, []
-    for n in range(1, L + 1):
+    for _ in range(L):
         e_prev, e, d = e, [], []
-        for j in range(2 * (L - n) + 1):
-            q1, q0, ep = q[j + 1], q[j], e_prev[j + 1]
+        for q1, q0, ep in zip(q[1:], q, e_prev[1:]):
             status = _blocked(q1, q0, ep)
             if status is None:
                 ev = q1 - q0 + ep
@@ -140,8 +142,7 @@ def _qd_sweep(u, L: int, field):
                 d.append(status)
         yield q, e, d
         q_next = []
-        for j in range(2 * (L - n)):
-            e1, den, qn = e[j + 1], d[j], q[j + 1]
+        for e1, den, qn in zip(e[1:], d, q[1:]):
             status = _blocked(e1, den, qn)
             if status is None and den is None:
                 status = BREAKDOWN
@@ -177,23 +178,48 @@ def _sylvester_sweep(g, bs, L: int, field):
     ends before U_2L and by H_{L+1}^(0); each is checked for zero before
     anything is divided by it.
     """
-    below, fs = [1] * (2 * L + 1), bs
-    for n in range(1, L + 1):
+    below, fs = [1] * len(g), bs
+    for _ in range(L):
         if any(field.is_zero(x) for x in g[:-1]):
             yield None
             return
         fs = [
-            [(f[j] * g[j + 1] - g[j] * f[j + 1]) // below[j + 1]
-             for j in range(L - n + 1)]
+            [(f0 * g1 - g0 * f1) // b1
+             for f0, f1, g0, g1, b1 in zip(f, f[1:], g, g[1:], below[1:])]
             for f in fs
         ]
         yield g, fs
         below, g = g, [
-            (g[j] * g[j + 2] - g[j + 1] * g[j + 1]) // below[j + 2]
-            for j in range(len(g) - 2)
+            (g0 * g2 - g1 * g1) // b2
+            for g0, g1, g2, b2 in zip(g, g[1:], g[2:], below[2:])
         ]
     if field.is_zero(g[0]):
         yield None
+
+
+def _fs_sweep(A, u, L: int, field):
+    """Columns (M_n, N_n), n = 0..L, of the FS recursion over converted A
+    and u: M_0[j] = A_j/u_j, N_0[j] = 1/u_j, and
+    M_n[j] = (M_{n-1}[j+1] - M_{n-1}[j]) / d_n[j], N_n likewise, with d_n
+    from _qd_sweep.  Each N slot has the status of its M slot."""
+    one = field.convert(1)
+    M = _pad([a / x for a, x in zip(A, u)], len(A))
+    N = _pad([one / x for x in u[:len(A)]], len(A))
+    yield M, N
+    for _, _, d in islice(_qd_sweep(u, L, field), 1, None):
+        M_prev, N_prev, M, N = M, N, [], []
+        for m1, m0, n1, n0, den in zip(M_prev[1:], M_prev,
+                                       N_prev[1:], N_prev, d):
+            status = _blocked(m1, m0, den)
+            if status is None and den is None:
+                status = BREAKDOWN
+            if status is None:
+                M.append((m1 - m0) / den)
+                N.append((n1 - n0) / den)
+            else:
+                M.append(status)
+                N.append(status)
+        yield M, N
 
 
 def _fraction_free_columns(A, u, L: int, field, diagonal_only: bool):
@@ -216,29 +242,27 @@ def _fraction_free_columns(A, u, L: int, field, diagonal_only: bool):
         L, field,
     )
     columns = [A]
-    for n, step in enumerate(sweep, start=1):
+    for step in sweep:
         if step is None:
             return None
         _, (fA, f1) = step
-        width = 1 if diagonal_only else L - n + 1
-        columns.append([
+        width = 1 if diagonal_only else len(f1)
+        columns.append(_pad([
             BREAKDOWN if field.is_zero(den) else Fraction(num, d_A * den)
             for num, den in zip(fA[:width], f1)
-        ] + [NOT_COMPUTED] * (L - n + 1 - width))
+        ], len(f1)))
     return columns
 
 
 def run_fs_qd(
     seq: SequencePair, diagonal_only: bool = False, field=None
 ) -> ExtrapolationTable:
-    """The paired-numerator FS recursion with divisors supplied by the
-    quotient-difference table.
-
-    M[j][0] = A_j/u_j and N[j][0] = 1/u_j; both arrays are updated by
-    differencing and dividing by e[j][n]; entry (j,n) is M[j][n]/N[j][n].
-    With diagonal_only the final division is performed only for j = 0,
-    which drops the division count from 5L^2/2 + O(L) to 2L^2 + O(L);
-    off-diagonal entries beyond column 0 are then not computed.
+    """The paired-numerator FS recursion (_fs_sweep) with divisors
+    supplied by the quotient-difference table; entry (j,n) is
+    M[j][n]/N[j][n].  With diagonal_only the final division is performed
+    only for j = 0, which drops the division count from 5L^2/2 + O(L) to
+    2L^2 + O(L); off-diagonal entries beyond column 0 are then not
+    computed.
 
     Over exact rationals the same table is first tried fraction-free on
     integers (_fraction_free_columns); the sweep below runs only where
@@ -251,30 +275,14 @@ def run_fs_qd(
     if isinstance(field, RationalField):
         columns = _fraction_free_columns(A, u, L, field, diagonal_only)
         if columns is not None:
-            return ExtrapolationTable(method, L, columns)
+            return ExtrapolationTable(method, columns)
 
-    one, finite = field.convert(1), field.is_finite
-    M = [A[j] / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
-    N = [one / u[j] if j < len(u) else NOT_COMPUTED for j in range(L + 1)]
+    finite = field.is_finite
     columns = [_settled(A, field)]
-    sweep = islice(_qd_sweep(u, L, field), 1, None)
-    # Each N slot has the status of its M slot: the two are set together.
-    for n, (_, _, d) in enumerate(sweep, start=1):
-        M_prev, N_prev, M, N = M, N, [], []
-        for j in range(L - n + 1):
-            m1, m0, den = M_prev[j + 1], M_prev[j], d[j]
-            status = _blocked(m1, m0, den)
-            if status is None and den is None:
-                status = BREAKDOWN
-            if status is None:
-                M.append((m1 - m0) / den)
-                N.append((N_prev[j + 1] - N_prev[j]) / den)
-            else:
-                M.append(status)
-                N.append(status)
-        width = 1 if diagonal_only else L - n + 1
+    for M, N in islice(_fs_sweep(A, u, L, field), 1, None):
+        width = 1 if diagonal_only else len(M)
         col = []
-        for me, ne in zip(M[:width], N[:width]):
+        for me, ne in zip(M[:width], N):
             status = _blocked(me)
             # Checked before dividing: a non-finite M or N is never divided.
             if status is None and (
@@ -282,9 +290,8 @@ def run_fs_qd(
             ):
                 status = BREAKDOWN
             col.append(me / ne if status is None else status)
-        col = _settled(col, field)
-        columns.append(col + [NOT_COMPUTED] * (L - n + 1 - width))
-    return ExtrapolationTable(method, L, columns)
+        columns.append(_pad(_settled(col, field), len(M)))
+    return ExtrapolationTable(method, columns)
 
 
 def _guarded_factor(field, a, b, c, one):
@@ -328,23 +335,21 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     field, A, u = _input(field, L, seq.A, seq.u)
 
     one = field.convert(1)
-    s_cols = [[one] * (2 * L + 2)]
-    r_cols = [[], [u[j] if j < len(u) else NOT_COMPUTED
-                   for j in range(2 * L + 1)]]
+    r_cols = [[], _pad(u, 2 * L + 1)]
+    s_cols = [[one] * (len(r_cols[1]) + 1)]
     columns = [_settled(A, field)]
-    for n in range(1, L + 1):
-        r, s_prev, t_prev = r_cols[n], s_cols[n - 1], columns[n - 1]
+    for _ in range(L):
+        r, s_prev, t_prev = r_cols[-1], s_cols[-1], columns[-1]
         s = [
-            _guarded_factor(field, s_prev[j + 1], r[j + 1], r[j], one)
-            for j in range(2 * (L - n) + 2)
+            _guarded_factor(field, s1, r1, r0, one)
+            for s1, r1, r0 in zip(s_prev[1:], r[1:], r)
         ]
         r_next = [
-            _guarded_factor(field, r[j + 1], s[j + 1], s[j], one)
-            for j in range(2 * (L - n) + 1)
+            _guarded_factor(field, r1, s1, s0, one)
+            for r1, s1, s0 in zip(r[1:], s[1:], s)
         ]
         col = []
-        for j in range(L - n + 1):
-            r0, r1, t1, t0 = r[j], r[j + 1], t_prev[j + 1], t_prev[j]
+        for r0, r1, t1, t0 in zip(r, r[1:], t_prev[1:], t_prev):
             status = _blocked(r0, r1, t1, t0)
             if status is None:
                 den = field.value_divisor(r0 - r1, r0, r1)
@@ -356,7 +361,7 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
         s_cols.append(s)
         r_cols.append(r_next)
         columns.append(_settled(col, field))
-    return RsTable(r_cols, s_cols), ExtrapolationTable("rs", L, columns)
+    return RsTable(r_cols, s_cols), ExtrapolationTable("rs", columns)
 
 
 def run_epsilon(A, field=None) -> ExtrapolationTable:
@@ -370,15 +375,13 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     """
     L = (len(A) - 1) // 2
     field, vals, _ = _input(field, L, A)
-    total = len(vals) - 1
 
     one = field.convert(1)
-    prev, cur = [field.convert(0)] * (total + 1), vals
+    prev, cur = [field.convert(0)] * len(vals), vals
     columns = [_settled(vals, field)]
-    for k in range(total):
+    for k in range(len(vals) - 1):
         nxt = []
-        for j in range(total - k):
-            pv, hi, lo = prev[j + 1], cur[j + 1], cur[j]
+        for pv, hi, lo in zip(prev[1:], cur[1:], cur):
             status = _blocked(pv, hi, lo)
             if status is None:
                 den = field.value_divisor(hi - lo, hi, lo)
@@ -388,7 +391,7 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
         prev, cur = cur, _settled(nxt, field)
         if k % 2 == 1:
             columns.append(cur)
-    return ExtrapolationTable("eps", L, columns)
+    return ExtrapolationTable("eps", columns)
 
 
 def shanks_prepare(A, field=None) -> SequencePair:
@@ -416,7 +419,7 @@ def shanks_prepare(A, field=None) -> SequencePair:
             )
         u.append(d)
     if len(vals) % 2 == 1 and L >= 1:
-        u.append(u[2 * L - 1] * u[2 * L - 1] / u[2 * L - 2])
+        u.append(u[-1] * u[-1] / u[-2])
     return SequencePair(A=vals[: L + 1], u=u, L=L)
 
 

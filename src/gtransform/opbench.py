@@ -58,10 +58,17 @@ def bench_on(
     Input conversion and status bookkeeping are free; only the arithmetic
     in the engine recursions is tallied.  A breakdown anywhere in the run
     flags the report invalid; the counts then omit the arithmetic of the
-    entries that broke down.  Every method but eps needs L+1 values in A.
+    entries that broke down.  L is at least 1.  Every method but eps needs
+    L+1 values in A, or, with u None (Shanks' transformation of A), 2L+1
+    or 2L+2; eps runs at depth (len(A)-1)//2 whatever L says.
     """
-    if method != "eps" and len(A) != L + 1:
+    if L < 1:
+        raise ArgumentError(f"L must be at least 1, got {L}")
+    if method != "eps" and u is not None and len(A) != L + 1:
         raise ArgumentError(f"A must hold L+1 = {L + 1} values, got {len(A)}")
+    if method != "eps" and u is None and len(A) not in (2 * L + 1, 2 * L + 2):
+        raise ArgumentError(f"with u None, A must hold 2L+1 = {2 * L + 1} "
+                            f"or {2 * L + 2} values, got {len(A)}")
     fld = CountingField()
     table = accelerate(method, A, u, field=fld)
     valid = all(

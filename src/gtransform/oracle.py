@@ -184,8 +184,8 @@ def f_det(b: Sequence, u: Sequence, j: int, n: int) -> Fraction:
 
 def psi(b: Sequence, u: Sequence, j: int, n: int) -> Fraction:
     """The ratio of f_det(b) of order n to the Hankel determinant of
-    order n+1; the quantity the fast engine carries as its M and N
-    arrays."""
+    order n+1.  The fast engine's M and N arrays carry (-1)^n times it,
+    for b = A and for b = 1."""
     den = hankel_det(u, j, n + 1)
     if den == 0:
         raise SingularError(f"hankel_det(j={j}, n={n + 1}) = 0")

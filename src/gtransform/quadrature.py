@@ -15,8 +15,6 @@ from typing import Callable, List, Optional
 from .engines import accelerate
 from .tables import ArgumentError, ExtrapolationTable, InitializationError
 
-ENGINES = ("fsqd", "rs", "eps")
-
 
 @dataclass
 class IntegrandSpec:
@@ -193,18 +191,15 @@ def g_transform(
     """Accelerate F(x+jh) toward the full integral.
 
     Builds the pair A_i = F(x+ih) (i = 0..n_max) and u_i = f(x+ih)
-    (i = 0..2 n_max) and runs the chosen engine.  The eps engine ignores
-    u entirely and runs on the F samples alone with its depth halved; it
-    is exposed for comparison only.  A sample that is not finite (the
-    integrand or its running integral overflowed) is an
+    (i = 0..2 n_max) and runs the engine, a method of engines.METHODS,
+    through accelerate, which refuses any other name.  The eps engine
+    ignores u entirely and runs on the F samples alone with its depth
+    halved; it is exposed for comparison only.  A sample that is not
+    finite (the integrand or its running integral overflowed) is an
     InitializationError, and so, from the engine, is a zero sample of f.
     """
     if n_max < 1:
         raise ArgumentError(f"n_max must be >= 1, got {n_max}")
-    if engine not in ENGINES:
-        raise ArgumentError(
-            f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}"
-        )
     if cfg is None:
         cfg = QuadratureConfig()
 

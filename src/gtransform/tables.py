@@ -97,14 +97,15 @@ class _ColumnTable:
 
 class ExtrapolationTable(_ColumnTable):
     """Accelerated values indexed (j, n) for n = 0..limit, tagged with the
-    engine that produced it.  fsqd and rs store the triangle j+n <= limit;
-    eps stores every entry its even columns determine, len(A) - 2n slots
-    in column n (2(limit-n)+1 for an odd-length A: 5, 3, 1 at limit 2)."""
+    engine that produced it; limit is one less than the column count.
+    fsqd and rs store the triangle j+n <= limit; eps stores every entry
+    its even columns determine, len(A) - 2n slots in column n
+    (2(limit-n)+1 for an odd-length A: 5, 3, 1 at limit 2)."""
 
-    def __init__(self, method: str, limit: int, columns: List[list]) -> None:
+    def __init__(self, method: str, columns: List[list]) -> None:
         super().__init__(columns)
         self.method = method
-        self.limit = limit
+        self.limit = len(columns) - 1
 
     def value(self, j: int, n: int):
         slot = self._slot(j, n)

@@ -51,7 +51,7 @@ class TestTableCommand:
         assert cell["status"] == "breakdown"
         assert cell["value"] is None
 
-    @pytest.mark.parametrize("diagonal_only", [False, True],
+    @pytest.mark.parametrize("method", ["fsqd", "fsqd_diag"],
                              ids=["full", "diagonal-only"])
     @pytest.mark.parametrize("u, want", [
         (["1", "1/2", "1/4", "1/8", "1/16"], 3),
@@ -61,11 +61,12 @@ class TestTableCommand:
         (["1", "1/2"], 0),
     ], ids=["geometric", "short", "shorter"])
     def test_exit_3_when_no_entry_past_column_0_is_valid(
-        self, tmp_path, capsys, u, want, diagonal_only
+        self, tmp_path, capsys, u, want, method
     ):
         path = write_doc(tmp_path, "in.json", {"A": [1, 2, 3], "u": u})
-        argv = ["table", "--input", path, "--method", "fsqd", "--exact"]
-        code, doc = run_json(capsys, argv + ["--diagonal-only"] * diagonal_only)
+        code, doc = run_json(
+            capsys, ["table", "--input", path, "--method", method, "--exact"]
+        )
         assert code == want
         later = {r["status"] for r in doc["table"] if r["n"] >= 1}
         assert "valid" not in later
@@ -253,6 +254,24 @@ class TestIntegrateCommand:
         shown = ", ".join(f"{d:.3e}" for d in doc["diagonal_deltas"])
         assert f"\ndiagonal deltas: {shown}\n" in out
         assert "error" not in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--integrand", "exp_decay", "--x", "0.5", "--n-max", "5"],
+        ["--integrand", "t_exp", "--x", "1", "--h", "0.7", "--n-max", "6"],
+        ["--integrand", "sinc", "--x", "0", "--n-max", "8"],
+        ["--integrand", "sinc", "--a", "0.5", "--x", "1", "--n-max", "4"],
+    ], ids=["exp_decay", "t_exp", "sinc", "sinc-no-reference"])
+    def test_fsqd_diag_engine_gives_the_fsqd_diagonal(self, capsys, flags):
+        code, full = run_json(capsys, ["integrate", *flags])
+        assert code == 0
+        code, diag = run_json(
+            capsys, ["integrate", *flags, "--engine", "fsqd_diag"]
+        )
+        assert code == 0
+        assert diag["method"] == "fsqd_diag"
+        for key in ("diagonal", "reference", "errors", "diagonal_deltas"):
+            assert diag.get(key) == full.get(key), key
+        assert (diag["errors"] is None) == ("--a" in flags)
 
     def test_unknown_integrand_lists_catalog(self, capsys):
         code = main(

@@ -1,7 +1,7 @@
 """CLI boundaries: a negative number in exponent form is a value, not an
 option, check refuses a case count that would check nothing, table
 checks a document's mode and u alike for every method and reads a float
-literal at face value, --diagonal-only is refused outside fsqd, an
+literal at face value, the retired --diagonal-only flag is refused, an
 --output file that cannot be written is an input error, and a size above
 its cap is a usage error before any work starts."""
 
@@ -13,6 +13,7 @@ import pytest
 
 from gtransform import cli
 from gtransform.cli import main
+from gtransform.engines import METHODS
 
 
 def _strict_json(out: str):
@@ -78,16 +79,17 @@ def test_exact_reads_a_float_literal_at_face_value(tmp_path, capsys):
     assert [r["value"] for r in rows if r["n"] == 0] == ["1", "1/10", "2"]
 
 
-@pytest.mark.parametrize("method", ["rs", "eps"])
-def test_diagonal_only_outside_fsqd_is_a_usage_error(method, tmp_path,
-                                                     capsys):
-    # Refused before the document is read: reading it would exit 2.
-    argv = ["table", "--input", str(tmp_path / "missing.json"),
-            "--method", method, "--diagonal-only"]
-    assert main(argv) == 64
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--diagonal-only applies to --method fsqd only" in captured.err
+def test_diagonal_only_is_a_usage_error(tmp_path, capsys):
+    # The diagonal-only table is --method fsqd_diag; the flag is unknown
+    # for every method, and refused before the document is read (reading
+    # it would exit 2).
+    for method in METHODS:
+        argv = ["table", "--input", str(tmp_path / "missing.json"),
+                "--method", method, "--diagonal-only"]
+        assert main(argv) == 64, method
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --diagonal-only" in captured.err
 
 
 @pytest.mark.parametrize("target", [lambda d: d / "no" / "x.json",

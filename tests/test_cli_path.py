@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gtransform import cli
 from gtransform.cli import main
-from gtransform.engines import run_epsilon
+from gtransform.engines import METHODS, run_epsilon
 from gtransform.scalars import (
     FloatField,
     ParseError,
@@ -159,8 +159,7 @@ def integrate_argv(draw):
         "x": (_floats(0.0, 50.0), True),
         "h": (_floats(1e-3, 10.0), False),
         "n-max": (_ints(1, 20), True),
-        "engine": (_mostly(st.sampled_from(["fsqd", "rs", "eps"]),
-                           st.just("qd")), False),
+        "engine": (_mostly(st.sampled_from(METHODS), st.just("qd")), False),
         "subdivisions": (_mostly(st.integers(1, 32).map(lambda k: str(2 * k)),
                                  st.one_of(st.integers(-3, 63).map(str),
                                            NOT_A_NUMBER)), False),
@@ -170,8 +169,7 @@ def integrate_argv(draw):
 @st.composite
 def bench_argv(draw):
     return ["bench"] + _flags(draw, {
-        "method": (_mostly(st.sampled_from(["fsqd", "fsqd_diag", "rs", "eps"]),
-                           st.just("x")), True),
+        "method": (_mostly(st.sampled_from(METHODS), st.just("x")), True),
         "L": (_ints(10, 40, bad_lo=-2), True),
         "seed": (_ints(-5, 10**6, bad=HUGE), False),
     }) + draw(RENDER_FLAGS)
@@ -222,10 +220,9 @@ def table_argv(draw, tmp_path):
         doc["u"] = draw(st.lists(number, min_size=1, max_size=2 * L + 1))
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
-    method = draw(st.sampled_from(["fsqd", "rs", "eps"]))
+    method = draw(st.sampled_from(METHODS))
     return (["table", "--input", str(path), "--method", method]
-            + ["--exact"] * draw(st.booleans())
-            + ["--diagonal-only"] * draw(st.booleans()))
+            + ["--exact"] * draw(st.booleans()))
 
 
 @settings(

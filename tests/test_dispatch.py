@@ -1,5 +1,5 @@
-"""engines.accelerate, the one way to run a method; bench_on's length
-check through it; and column 0 under the finite rule."""
+"""engines.accelerate, the one way to run a method; bench_on's checks of
+L and of the length of A; and column 0 under the finite rule."""
 
 from __future__ import annotations
 
@@ -74,6 +74,26 @@ def test_accelerate_refuses_an_unknown_method():
 def test_bench_on_still_checks_the_length_of_A(method):
     with pytest.raises(ArgumentError, match="A must hold L\\+1 = 5 values"):
         bench_on(method, [1.0] * (L + 1), [1.0] * (2 * L + 1), L + 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bench_on_refuses_L_below_1(method):
+    """Normalizing by L^2 at L = 0 would divide by zero."""
+    with pytest.raises(ArgumentError, match="L must be at least 1, got 0"):
+        bench_on(method, [1.0], [2.0] if method != "eps" else None, 0)
+
+
+@pytest.mark.parametrize("method", ["fsqd", "fsqd_diag", "rs"])
+def test_bench_on_shanks_input_holds_2L_plus_1_or_2L_plus_2_terms(method):
+    """With u None the engine runs at depth (len(A)-1)//2, so A must hold
+    2L+1 or 2L+2 terms for the report's L to be the depth it ran at."""
+    terms = [1.0 + 1.0 / (k + 1) for k in range(2 * 20 + 2)]
+    with pytest.raises(ArgumentError, match="41 or 42 values, got 21"):
+        bench_on(method, terms[:21], None, 20)
+    for size in (41, 42):
+        report = bench_on(method, terms[:size], None, 20)
+        assert report.L == 20
+    assert report.normalized["additions"] > 2.0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

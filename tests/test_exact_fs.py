@@ -4,8 +4,8 @@ Over exact rationals run_fs_qd first tries the integer path
 (_fraction_free_columns).  It must give the sweep's table exactly, values
 and statuses, wherever it returns columns, and hand back to the sweep
 exactly when u is short or a Hankel determinant the sweep divides by is
-zero.  Its integer determinants are checked against the oracle's
-definitions, which are the referee for the M/N arrays the sweep carries.
+zero.  Its integer determinants, and the M/N arrays the sweep carries,
+are checked against the oracle's determinant definitions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from gtransform import engines
 from gtransform.engines import run_fs_qd, shanks_prepare
-from gtransform.oracle import f_det, hankel_det
+from gtransform.oracle import SingularError, f_det, hankel_det, psi
 from gtransform.scalars import RationalField
 from gtransform.tables import EntryStatus, InitializationError, SequencePair
 
@@ -160,3 +160,32 @@ def test_sylvester_columns_match_the_determinant_definitions(L):
             for j in range(L - n + 1):
                 assert fA[j] == f_det(A, u, j, n) * d_u ** n * d_A
                 assert f1[j] == f_det(ones, u, j, n) * d_u ** n
+
+
+def test_fs_sweep_columns_are_signed_psi():
+    """M_n[j] = (-1)^n psi(A, j, n) and N_n[j] = (-1)^n psi(1, j, n) on
+    every valid slot the FS sweep yields; a slot whose psi has a zero
+    Hankel denominator is skipped."""
+    rng = random.Random(3)
+    compared = 0
+    for _ in range(60):
+        L = rng.randint(1, 6)
+        A = [_pq(rng) for _ in range(L + 1)]
+        u = [_pq(rng) for _ in range(2 * L + 1)]
+        ones = [1] * (L + 1)
+        columns = list(engines._fs_sweep(A, u, L, FIELD))
+        assert len(columns) == L + 1
+        for n, (M, N) in enumerate(columns):
+            assert len(M) == len(N) == L - n + 1
+            for j, (m, nv) in enumerate(zip(M, N)):
+                if isinstance(m, EntryStatus):
+                    assert nv is m
+                    continue
+                try:
+                    want_m = (-1) ** n * psi(A, u, j, n)
+                    want_n = (-1) ** n * psi(ones, u, j, n)
+                except SingularError:
+                    continue
+                assert (m, nv) == (want_m, want_n), (A, u, j, n)
+                compared += 1
+    assert compared > 0

@@ -30,7 +30,7 @@ from gtransform.engines import (
 from gtransform.scalars import CountingField, FloatField, RationalField
 from gtransform.tables import SequencePair
 
-PINNED_SHA256 = "ac92a8ad9b0b07ce594f69e1ac6e512ac687ce1facf9746ebf85035e35b7f421"
+PINNED_SHA256 = "0230583601954a750f8a6326f07f5031fe81067d8fd42a595628a01bcc5d19d5"
 
 
 def _token(v) -> str:
@@ -195,8 +195,7 @@ def _cli_lines(tmp_path, capsys):
         (tmp_path / name).write_text(json.dumps(doc))
     commands = [
         ["table", "--input", "shanks.json", "--method", "fsqd"],
-        ["table", "--input", "shanks.json", "--method", "fsqd",
-         "--diagonal-only"],
+        ["table", "--input", "shanks.json", "--method", "fsqd_diag"],
         ["table", "--input", "general.json", "--method", "rs", "--exact"],
         ["table", "--input", "general.json", "--method", "fsqd", "--exact"],
         ["table", "--input", "geometric.json", "--method", "fsqd", "--exact"],

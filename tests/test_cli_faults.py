@@ -79,17 +79,18 @@ def test_exact_reads_a_float_literal_at_face_value(tmp_path, capsys):
     assert [r["value"] for r in rows if r["n"] == 0] == ["1", "1/10", "2"]
 
 
-def test_diagonal_only_is_a_usage_error(tmp_path, capsys):
-    # The diagonal-only table is --method fsqd_diag; the flag is unknown
-    # for every method, and refused before the document is read (reading
-    # it would exit 2).
-    for method in METHODS:
-        argv = ["table", "--input", str(tmp_path / "missing.json"),
-                "--method", method, "--diagonal-only"]
-        assert main(argv) == 64, method
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --diagonal-only" in captured.err
+@pytest.mark.parametrize("method", METHODS)
+def test_diagonal_only_outside_fsqd_is_a_usage_error(method, tmp_path,
+                                                     capsys):
+    # The diagonal-only table is --method fsqd_diag; the retired flag is
+    # unknown for every method, fsqd included, and refused before the
+    # document is read (reading it would exit 2).
+    argv = ["table", "--input", str(tmp_path / "missing.json"),
+            "--method", method, "--diagonal-only"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --diagonal-only" in captured.err
 
 
 @pytest.mark.parametrize("target", [lambda d: d / "no" / "x.json",

@@ -25,6 +25,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
@@ -57,10 +58,6 @@ MAX_BENCH_L = 500
 MAX_CHECK_CASES = 500
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64, and a token
     that starts like a negative number (-1e3, -.5, -inf) read as a value:
@@ -71,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ArgumentError(message)
 
 
 class _InputError(Exception):
@@ -127,15 +124,13 @@ def _table_document(table: ExtrapolationTable, exact: bool) -> Dict[str, Any]:
                 if isinstance(slot, EntryStatus) else
                 {"j": j, "n": n, "value": write(slot), "status": valid}
                 for j, n, slot in table.slots()]
-        diagonal = [write(e.value) if e.valid else None
-                    for e in table.diagonal()]
     except ValueError:  # str() of an int longer than the digit limit
         raise _InputError(
             f"an exact value has more than {sys.get_int_max_str_digits()} "
             "digits, the limit for writing an integer"
         ) from None
     return {"method": table.method, "L": table.limit, "table": rows,
-            "diagonal": diagonal}
+            "diagonal": [row["value"] for row in rows if row["j"] == 0]}
 
 
 # The JSON writer.  json.dumps runs its C encoder only without indent, so
@@ -243,8 +238,8 @@ def _render_text(doc: Dict[str, Any], full: bool) -> str:
 def cmd_table(args) -> int:
     doc = _load_document(args.input)
     if isinstance(doc.get("A"), list) and len(doc["A"]) > MAX_TABLE_VALUES:
-        raise _UsageError(f"a table document's A is capped at "
-                          f"{MAX_TABLE_VALUES} values, got {len(doc['A'])}")
+        raise ArgumentError(f"a table document's A is capped at "
+                            f"{MAX_TABLE_VALUES} values, got {len(doc['A'])}")
     exact = args.exact
     fld = RationalField() if exact else FloatField()
     A = _parse_values(doc.get("A"), "A", fld)
@@ -256,7 +251,8 @@ def cmd_table(args) -> int:
         raise _InputError(f"mode must be 'general' or 'shanks', got {mode!r}")
     if mode == "shanks" and has_u:
         raise _InputError("field 'u' must be absent in shanks mode")
-    # Checked for every method, though eps ignores u.
+    # Parsed here and checked by accelerate for every method: eps ignores
+    # the values of u but refuses a u that breaks the input rule.
     u = _parse_values(doc.get("u"), "u", fld) if mode == "general" else None
 
     try:
@@ -287,10 +283,10 @@ def _finite_float(text: str) -> float:
 
 def cmd_integrate(args) -> int:
     if args.n_max > MAX_N_MAX:
-        raise _UsageError(f"--n-max is capped at {MAX_N_MAX}, got {args.n_max}")
+        raise ArgumentError(f"--n-max is capped at {MAX_N_MAX}, got {args.n_max}")
     if args.subdivisions > MAX_SUBDIVISIONS:
-        raise _UsageError(f"--subdivisions is capped at {MAX_SUBDIVISIONS}, "
-                          f"got {args.subdivisions}")
+        raise ArgumentError(f"--subdivisions is capped at {MAX_SUBDIVISIONS}, "
+                            f"got {args.subdivisions}")
     spec = make_spec(args.integrand, a=args.a)
     cfg = QuadratureConfig(
         subdivisions_per_panel=args.subdivisions,
@@ -302,7 +298,7 @@ def cmd_integrate(args) -> int:
     doc = _table_document(result.table, exact=False)
     doc["x"] = args.x
     doc["h"] = args.h
-    doc["reference"] = result.reference
+    doc["reference"] = spec.reference
     doc["errors"] = result.errors
     if result.errors is None:
         doc["diagonal_deltas"] = result.diagonal_deltas
@@ -314,8 +310,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.L > MAX_BENCH_L:
-        raise _UsageError(f"bench is capped at L <= {MAX_BENCH_L}, got {args.L}")
-    doc = bench_method(args.method, args.L, args.seed).as_dict()
+        raise ArgumentError(f"bench is capped at L <= {MAX_BENCH_L}, got {args.L}")
+    doc = asdict(bench_method(args.method, args.L, args.seed))
     doc["seed"] = args.seed
     _emit(doc, args)
     return EXIT_OK
@@ -323,14 +319,14 @@ def cmd_bench(args) -> int:
 
 def cmd_check(args) -> int:
     if args.L > 5:
-        raise _UsageError(f"check is capped at L <= 5, got {args.L}")
+        raise ArgumentError(f"check is capped at L <= 5, got {args.L}")
     if args.L < 1:
-        raise _UsageError(f"L must be >= 1, got {args.L}")
+        raise ArgumentError(f"L must be >= 1, got {args.L}")
     if args.cases < 1:
-        raise _UsageError(f"cases must be >= 1, got {args.cases}")
+        raise ArgumentError(f"cases must be >= 1, got {args.cases}")
     if args.cases > MAX_CHECK_CASES:
-        raise _UsageError(f"check is capped at {MAX_CHECK_CASES} cases, "
-                          f"got {args.cases}")
+        raise ArgumentError(f"check is capped at {MAX_CHECK_CASES} cases, "
+                            f"got {args.cases}")
     report = run_equivalence_suite(L=args.L, cases=args.cases, seed=args.seed)
     doc = {
         "cases": report.cases,
@@ -410,9 +406,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
         # Before Python 3.12 argparse stores "--opt=--" as an empty list.
         if [] in vars(args).values():
-            raise _UsageError("an option was given '--' as its value")
+            raise ArgumentError("an option was given '--' as its value")
         return args.fn(args)
-    except (_UsageError, ArgumentError) as exc:
+    except ArgumentError as exc:
         sys.stderr.write(f"gtransform: usage error: {exc}\n")
         return EXIT_USAGE
     except (_InputError, InitializationError, ParseError) as exc:

@@ -50,7 +50,8 @@ def random_pair(rng: random.Random, L: int) -> SequencePair:
 
 
 def _fully_valid(table) -> bool:
-    return all(e.status is EntryStatus.VALID for _, e in table.items())
+    return not any(isinstance(slot, EntryStatus)
+                   for col in table.columns for slot in col)
 
 
 class _Degenerate(Exception):
@@ -66,11 +67,11 @@ def check_equivalence_case(seq: SequencePair) -> Optional[str]:
     _, rs = run_rs(seq, field=_FIELD)
     if not (_fully_valid(fsqd) and _fully_valid(rs)):
         raise _Degenerate()
-    for (j, n), entry in fsqd.items():
-        other = rs.get(j, n)
-        if entry.value != other.value:
+    for j, n, value in fsqd.slots():
+        other = rs.columns[n][j]
+        if value != other:
             return (
-                f"fsqd ({j},{n}) = {entry.value} but rs gives {other.value} "
+                f"fsqd ({j},{n}) = {value} but rs gives {other} "
                 f"on A={seq.A} u={seq.u}"
             )
         solved = oracle.direct_solve(seq, j, n)
@@ -79,10 +80,10 @@ def check_equivalence_case(seq: SequencePair) -> Optional[str]:
                 f"direct solve singular at ({j},{n}) though engines "
                 f"succeeded on A={seq.A} u={seq.u}"
             )
-        if solved.value != entry.value:
+        if solved.value != value:
             return (
                 f"direct solve ({j},{n}) = {solved.value} but engines "
-                f"give {entry.value} on A={seq.A} u={seq.u}"
+                f"give {value} on A={seq.A} u={seq.u}"
             )
     return None
 
@@ -97,15 +98,16 @@ def check_epsilon_identity_case(A: List[Fraction]) -> Optional[str]:
         raise _Degenerate() from None
     fsqd = run_fs_qd(seq, field=_FIELD)
     compared = 0
-    for (j, n), entry in fsqd.items():
-        other = eps.get(j, n)
-        if entry.valid and other.valid:
-            compared += 1
-            if entry.value != other.value:
-                return (
-                    f"eps ({j},{n}) = {other.value} but fsqd-on-differences "
-                    f"gives {entry.value} on A={A}"
-                )
+    for j, n, value in fsqd.slots():
+        other = eps.columns[n][j]
+        if isinstance(value, EntryStatus) or isinstance(other, EntryStatus):
+            continue
+        compared += 1
+        if value != other:
+            return (
+                f"eps ({j},{n}) = {other} but fsqd-on-differences "
+                f"gives {value} on A={A}"
+            )
     if compared == 0:
         raise _Degenerate()
     return None
@@ -122,12 +124,12 @@ def _check_ratios(u, stored) -> Optional[str]:
     try:
         wants = [(name, j, n, got, ref(u, j, n))
                  for name, array, ref, first in stored
-                 for (j, n), got in array.items() if n >= first]
+                 for j, n, got in array.slots() if n >= first]
     except oracle.SingularError:
         raise _Degenerate() from None
     for name, j, n, got, want in wants:
-        if not got.valid or got.value != want:
-            return f"{name}[{j}][{n}] = {got.value} but ratio gives {want} on u={u}"
+        if got != want:
+            return f"{name}[{j}][{n}] = {got} but ratio gives {want} on u={u}"
     return None
 
 

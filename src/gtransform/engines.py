@@ -429,15 +429,19 @@ METHODS = ("fsqd", "fsqd_diag", "rs", "eps")
 def accelerate(method: str, A, u=None, field=None) -> ExtrapolationTable:
     """The table of one method of METHODS: the one way to run an engine.
 
-    eps runs on the raw sequence A and ignores u.  fsqd, fsqd_diag
-    (fsqd with diagonal_only) and rs run on the pair (A, u), or, when u
-    is None, on shanks_prepare(A): Shanks' transformation of A.
+    fsqd, fsqd_diag (fsqd with diagonal_only) and rs run on the pair
+    (A, u), or, when u is None, on shanks_prepare(A): Shanks'
+    transformation of A.  eps runs on the raw sequence A and ignores the
+    values of u, but a u given with it obeys the input rule of _input, as
+    with every other method.
     """
     if method not in METHODS:
         raise ArgumentError(
             f"unknown method {method!r}; choose from {', '.join(METHODS)}"
         )
     if method == "eps":
+        if u is not None:
+            _input(field, len(A) - 1, A, u)
         return run_epsilon(A, field=field)
     seq = shanks_prepare(A, field=field) if u is None else SequencePair(A, u)
     if method == "rs":

@@ -28,16 +28,6 @@ class BenchReport:
     total: int
     valid: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "L": self.L,
-            "counts": self.counts.as_dict(),
-            "normalized": self.normalized,
-            "total": self.total,
-            "valid": self.valid,
-        }
-
 
 def _draw_input(
     method: str, L: int, seed: int
@@ -71,9 +61,7 @@ def bench_on(
                             f"or {2 * L + 2} values, got {len(A)}")
     fld = CountingField()
     table = accelerate(method, A, u, field=fld)
-    valid = all(
-        entry.status is not EntryStatus.BREAKDOWN for _, entry in table.items()
-    )
+    valid = not any(EntryStatus.BREAKDOWN in col for col in table.columns)
     counts = fld.counts
     L2 = float(L * L)
     normalized = {

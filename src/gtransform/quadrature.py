@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from .engines import accelerate
-from .tables import ArgumentError, ExtrapolationTable, InitializationError
+from .tables import (ArgumentError, EntryStatus, ExtrapolationTable,
+                     InitializationError)
 
 
 @dataclass
@@ -153,22 +154,19 @@ def sample_F(
 class GTransformResult:
     """An accelerated integral table at one (x, h).
 
-    errors[n] is |T(0,n) - reference| for n = 0..limit when the
+    errors[n] is |T(0,n) - spec.reference| for n = 0..limit when the
     integral's value is known; otherwise diagonal_deltas reports the
     successive diagonal differences |T(0,n) - T(0,n-1)| as a heuristic
     proxy.  Either list holds None where an entry it reads is not valid.
     """
 
     table: ExtrapolationTable
-    reference: Optional[float]
     errors: Optional[List[Optional[float]]]
     diagonal_deltas: Optional[List[Optional[float]]]
 
     def diagonal_values(self) -> List[Optional[float]]:
-        return [
-            (float(e.value) if e.valid else None)
-            for e in self.table.diagonal()
-        ]
+        return [None if isinstance(col[0], EntryStatus) else float(col[0])
+                for col in self.table.columns]
 
 
 def _check_finite(name: str, vals: List[float], x: float, h: float) -> None:
@@ -212,7 +210,7 @@ def g_transform(
         _check_finite("f", u_vals, x, h)
     table = accelerate(engine, F_vals, u_vals)
 
-    result = GTransformResult(table, spec.reference, None, None)
+    result = GTransformResult(table, None, None)
     diag = result.diagonal_values()
     ref = spec.reference
     if ref is not None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -94,11 +94,7 @@ class OpCounts:
         return self.additions + self.multiplications + self.divisions
 
     def as_dict(self) -> dict:
-        return {
-            "additions": self.additions,
-            "multiplications": self.multiplications,
-            "divisions": self.divisions,
-        }
+        return asdict(self)
 
 
 def _refuse(scalar, other):
@@ -177,7 +173,6 @@ class FloatField:
     that produced them, and a value that is not finite is never reported.
     """
 
-    name = "float"
     is_finite = staticmethod(math.isfinite)
 
     def convert(self, v: Numeric) -> float:
@@ -207,11 +202,12 @@ class FloatField:
 
     def structural_divisor(self, d, *ops):
         """A safe divisor for a division whose quotient only propagates the
-        table (never reported directly): floored away from zero."""
+        table (never reported directly): floored away from zero, in the
+        divisor's own type."""
         floor = max(EPS * _float_scale(ops), FLOOR_MIN)
         if abs(d) >= floor:
             return d
-        return floor if d >= 0.0 else -floor
+        return type(d)(floor if d >= 0.0 else -floor)
 
 
 class RationalField:
@@ -221,8 +217,6 @@ class RationalField:
     is structural.  Both divisor kinds refuse exact zeros; nothing is
     negligible and every value is finite.
     """
-
-    name = "rational"
 
     def convert(self, v: Numeric) -> Fraction:
         if isinstance(v, Fraction):
@@ -251,8 +245,7 @@ class RationalField:
     def value_divisor(self, d, *ops):
         return None if d == 0 else d
 
-    def structural_divisor(self, d, *ops):
-        return None if d == 0 else d
+    structural_divisor = value_divisor
 
 
 class CountingField(FloatField):
@@ -266,8 +259,6 @@ class CountingField(FloatField):
     holds the tally of every scalar built through fld.
     """
 
-    name = "counting"
-
     def __init__(self):
         self.counts = OpCounts()
         self.scalar = type(
@@ -277,10 +268,6 @@ class CountingField(FloatField):
 
     def convert(self, v: Numeric) -> CountingScalar:
         return self.scalar(super().convert(v))
-
-    def structural_divisor(self, d, *ops):
-        guarded = super().structural_divisor(d, *ops)
-        return guarded if guarded is d else self.scalar(guarded)
 
 
 def infer_field(values) -> "FloatField | RationalField":

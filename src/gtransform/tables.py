@@ -7,8 +7,9 @@ not-computed rather than breakdown.
 
 Tables are stored as the columns the engines sweep: column n is a plain
 list whose slot j holds the value of entry (j, n), or the EntryStatus
-BREAKDOWN or NOT_COMPUTED when the entry has no value.  Entry objects are
-built only when a caller reads a slot.
+BREAKDOWN or NOT_COMPUTED when the entry has no value.  The package
+reads the columns; Entry objects are built only when an outside caller
+reads a slot through get, items or diagonal.
 """
 
 from __future__ import annotations

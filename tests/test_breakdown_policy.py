@@ -76,7 +76,7 @@ def test_no_valid_entry_is_non_finite(case):
         for name, table in _engine_tables(field_cls, A, u, E, L):
             for (j, n), entry in table.items():
                 assert not entry.valid or math.isfinite(float(entry.value)), (
-                    f"{field_cls.name} {name} ({j},{n}) is {entry.value}"
+                    f"{field_cls.__name__} {name} ({j},{n}) is {entry.value}"
                 )
 
 

@@ -1,9 +1,10 @@
 """CLI boundaries: a negative number in exponent form is a value, not an
 option, check refuses a case count that would check nothing, table
-checks a document's mode and u alike for every method and reads a float
-literal at face value, the retired --diagonal-only flag is refused, an
---output file that cannot be written is an input error, and a size above
-its cap is a usage error before any work starts."""
+checks a document's mode and u alike for every method (a u given with
+eps obeys the engines' input rule too) and reads a float literal at face
+value, the retired --diagonal-only flag is refused, an --output file
+that cannot be written is an input error, and a size above its cap is a
+usage error before any work starts."""
 
 from __future__ import annotations
 
@@ -51,11 +52,18 @@ def test_check_refuses_a_non_positive_case_count(cases, capsys):
     ({"A": [1, 2, 3], "u": "notalist"}, "field 'u' must be a non-empty list"),
     ({"A": [1, 2, 3], "u": [1.0, None]}, "u[1]: unsupported type NoneType"),
     ({"A": [1, 2, 3], "mode": "general"}, "field 'u' must be a non-empty list"),
-], ids=["text u", "u not a list", "null in u", "general mode without u"])
+    # eps ignores the values of u, but not the engines' input rule.
+    ({"A": [1, 2, 4], "u": [0, 1, 2, 3, 5]},
+     "u[0] is zero; the recursion needs every u value nonzero as an "
+     "initial divisor\n"),
+    ({"A": [1, 2, 4], "u": [1, 1, 2, 3, 5, 8, 13]},
+     "field 'u': u holds 7 values but at most 2L+1 = 5 are meaningful\n"),
+], ids=["text u", "u not a list", "null in u", "general mode without u",
+        "zero in u", "u too long"])
 def test_table_checks_u_for_every_method(doc, error, tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
-    for method in ("fsqd", "rs", "eps"):
+    for method in METHODS:
         assert main(["table", "--input", str(path), "--method", method]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -78,12 +78,12 @@ def test_engines_treat_empty_and_short_u_alike(L, length):
     # Every engine converts the Fractions through its field and returns a
     # table; none refuses the short u.
     per_field = {
-        field_cls.name: _engine_statuses(field_cls, A, u, L)
+        field_cls.__name__: _engine_statuses(field_cls, A, u, L)
         for field_cls in FIELDS
     }
-    float_statuses = per_field["float"]
-    assert per_field["rational"] == float_statuses
-    assert per_field["counting"] == float_statuses
+    float_statuses = per_field["FloatField"]
+    assert per_field["RationalField"] == float_statuses
+    assert per_field["CountingField"] == float_statuses
     # fsqd_diag computes the diagonal of the fsqd table only.
     for (j, n), status in float_statuses["fsqd_diag"].items():
         if j == 0 or n == 0:

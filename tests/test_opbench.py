@@ -13,6 +13,7 @@ are pinned so any accounting drift shows up as a hard failure.
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
@@ -25,8 +26,8 @@ from gtransform.opbench import (
     compare_ratio,
 )
 from gtransform.scalars import CountingField
-from gtransform.engines import run_fs_qd
-from gtransform.tables import ArgumentError, SequencePair
+from gtransform.engines import accelerate, run_fs_qd
+from gtransform.tables import ArgumentError, EntryStatus, SequencePair
 
 
 def fsqd_expected(L):
@@ -177,9 +178,39 @@ def test_breakdown_flags_report_invalid():
     assert not report.valid
 
 
+# (A, u, L) per method: a run in which a slot breaks down inside the
+# recursion (a constant u zeroes the FS denominators; a repeated term
+# zeroes eps's first difference), and runs whose only invalid slots are
+# not computed (a short u; fsqd_diag's off-diagonal).  eps computes every
+# slot it stores, so its second run has none invalid.
+BROKEN = {m: ([1.0, 2.0, 0.5], [1.0] * 5, 2)
+          for m in ("fsqd", "fsqd_diag", "rs")}
+BROKEN["eps"] = ([1.0, 1.0, 2.0], None, 1)
+UNBROKEN = {m: ([1.0, 2.0, 0.5], [1.0, 0.5], 2)
+            for m in ("fsqd", "fsqd_diag", "rs")}
+UNBROKEN["fsqd_diag"] = ([1.0, 2.0, 0.5], [1.0, 0.7, 0.4, 0.3, 0.2], 2)
+UNBROKEN["eps"] = ([1.0, 0.5, 0.8, 0.6, 0.7], None, 2)
+
+
+def _statuses(method, A, u):
+    return {s for col in accelerate(method, A, u).columns for s in col
+            if isinstance(s, EntryStatus)}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_valid_is_false_exactly_when_a_slot_broke_down(method):
+    A, u, L = BROKEN[method]
+    assert EntryStatus.BREAKDOWN in _statuses(method, A, u)
+    assert not bench_on(method, A, u, L).valid
+    A, u, L = UNBROKEN[method]
+    want = set() if method == "eps" else {EntryStatus.NOT_COMPUTED}
+    assert _statuses(method, A, u) == want
+    assert bench_on(method, A, u, L).valid
+
+
 def test_report_shape():
     report = bench_method("fsqd", 10, seed=4)
-    d = report.as_dict()
+    d = asdict(report)
     assert d["method"] == "fsqd"
     assert d["L"] == 10
     assert d["total"] == sum(d["counts"].values())

@@ -94,7 +94,7 @@ class TestKernelExactness:
         result = g_transform(spec, x=0.5, h=1.0, n_max=3, cfg=ANALYTIC)
         for (j, n), e in result.table.items():
             if n >= 1 and e.valid:
-                err = abs(float(e.value) - result.reference)
+                err = abs(float(e.value) - spec.reference)
                 assert err <= 1e-12, f"({j},{n}) err {err}"
         for n, err in enumerate(result.errors):
             if n >= 1:
@@ -167,7 +167,7 @@ class TestResultShape:
         spec = make_spec("exp_decay")
         result = g_transform(spec, x=0.5, h=1.0, n_max=2, cfg=ANALYTIC)
         assert isinstance(result, GTransformResult)
-        assert result.reference == pytest.approx(1.0)
+        assert spec.reference == pytest.approx(1.0)
         assert len(result.errors) == result.table.limit + 1
         assert result.errors[0] is not None
         assert result.diagonal_deltas is None
@@ -176,7 +176,7 @@ class TestResultShape:
         # sinc from a shifted lower limit has no stored reference
         spec = make_spec("sinc", a=0.5)
         result = g_transform(spec, x=1.0, h=1.0, n_max=3)
-        assert result.reference is None
+        assert spec.reference is None
         assert result.errors is None
         assert result.diagonal_deltas is not None
         assert len(result.diagonal_deltas) == 3
@@ -199,9 +199,9 @@ class TestResultShape:
 def test_errors_are_read_from_the_table_in_items_order(engine, integrand):
     # exp_decay's samples are all but geometric, so rs and eps break down
     # past their first orders; errors hold None at those diagonal entries.
-    result = g_transform(make_spec(integrand), x=1.0, h=1.0, n_max=8,
-                         engine=engine)
-    want = {(j, n): abs(float(e.value) - result.reference)
+    spec = make_spec(integrand)
+    result = g_transform(spec, x=1.0, h=1.0, n_max=8, engine=engine)
+    want = {(j, n): abs(float(e.value) - spec.reference)
             for (j, n), e in result.table.items() if e.valid}
     assert result.errors == [want.get((0, n))
                              for n in range(result.table.limit + 1)]

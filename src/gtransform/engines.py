@@ -28,6 +28,11 @@ reduced Fractions of the qd sweep are large and every operation on them
 pays a gcd.  That path yields the sweep's table exactly; it hands back to
 the sweep when u is short or when a Hankel determinant the sweep divides
 by is zero, so the sweep alone decides every other breakdown.
+
+fsqd's sweeps and final division run over whole columns through _apply.
+A column made from a full u with no divisor refused holds no status, so
+no slot pays a status test, and the field floors a column's divisors in
+one call (structural_divisors).
 """
 
 from __future__ import annotations
@@ -113,8 +118,18 @@ def _input(field, L: int, A, u=()):
     return field, A, u
 
 
+def _apply(f, clean, *cols) -> list:
+    """The column of f over the slots of cols, index by index.  Unless
+    clean (no operand slot holds a status), a slot inherits its operands'
+    status (_blocked) and f runs only where every operand has a value."""
+    if clean:
+        return list(map(f, *cols))
+    return [f(*slots) if (status := _blocked(*slots)) is None else status
+            for slots in zip(*cols)]
+
+
 def _qd_sweep(u, L: int, field):
-    """Columns (q_n, e_n, d_n), n = 0..L, of the quotient-difference
+    """Columns (q_n, e_n, d_n, clean), n = 0..L, of the quotient-difference
     recursion over converted u_0..u_2L.
 
     e[j][0] = 0; q[j][1] = u_{j+1}/u_j; then
@@ -125,29 +140,32 @@ def _qd_sweep(u, L: int, field):
     guard refuses it, e's own status where e has no value.  q_0 and d_0
     are empty.  A short u leaves the entries that would need the missing
     tail not computed.
+
+    clean (no slot of q_n, e_n or d_n holds a status or None) holds while
+    u is full length and no divisor is refused; it is carried, not found
+    by a scan.  A clean d_n comes from the column guard structural_divisors.
     """
+    clean = len(u) == 2 * L + 1
     q = _pad([u1 / u0 for u1, u0 in zip(u[1:], u)], 2 * L)
     e = [field.convert(0)] * (len(q) + 1)
-    yield [], e, []
+    yield [], e, [], clean
     for _ in range(L):
-        e_prev, e, d = e, [], []
-        for q1, q0, ep in zip(q[1:], q, e_prev[1:]):
-            status = _blocked(q1, q0, ep)
-            if status is None:
-                ev = q1 - q0 + ep
-                e.append(ev)
-                d.append(field.structural_divisor(ev, q1, q0, ep))
-            else:
-                e.append(status)
-                d.append(status)
-        yield q, e, d
-        q_next = []
-        for e1, den, qn in zip(e[1:], d, q[1:]):
-            status = _blocked(e1, den, qn)
-            if status is None and den is None:
-                status = BREAKDOWN
-            q_next.append((e1 / den) * qn if status is None else status)
-        q = q_next
+        ops = q[1:], q, e[1:]
+        e = _apply(lambda q1, q0, ep: q1 - q0 + ep, clean, *ops)
+        d = (field.structural_divisors(e, *ops) if clean
+             else _apply(field.structural_divisor, clean, e, *ops))
+        clean = clean and None not in d
+        yield q, e, d, clean
+        q = _apply(_ratio_step, clean, e[1:], d, q[1:])
+
+
+# q and M/N updates: an entry whose divisor was refused (None) breaks down.
+def _ratio_step(e1, den, qn):
+    return BREAKDOWN if den is None else (e1 / den) * qn
+
+
+def _difference_step(x1, x0, den):
+    return BREAKDOWN if den is None else (x1 - x0) / den
 
 
 def build_qd_table(u, L: int, field=None) -> QdTable:
@@ -157,7 +175,7 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
     error."""
     field, _, u = _input(field, L, (), u)
     q_cols, e_cols = [], []
-    for q, e, _ in _qd_sweep(u, L, field):
+    for q, e, _, _ in _qd_sweep(u, L, field):
         q_cols.append(q)
         e_cols.append(e)
     return QdTable(q_cols, e_cols)
@@ -198,28 +216,21 @@ def _sylvester_sweep(g, bs, L: int, field):
 
 
 def _fs_sweep(A, u, L: int, field):
-    """Columns (M_n, N_n), n = 0..L, of the FS recursion over converted A
-    and u: M_0[j] = A_j/u_j, N_0[j] = 1/u_j, and
+    """Columns (M_n, N_n, clean), n = 0..L, of the FS recursion over
+    converted A and u: M_0[j] = A_j/u_j, N_0[j] = 1/u_j, and
     M_n[j] = (M_{n-1}[j+1] - M_{n-1}[j]) / d_n[j], N_n likewise, with d_n
-    from _qd_sweep.  Each N slot has the status of its M slot."""
+    from _qd_sweep.  Each N slot has the status of its M slot, and clean
+    is _qd_sweep's flag for d_n, which holds for M_n and N_n too."""
     one = field.convert(1)
     M = _pad([a / x for a, x in zip(A, u)], len(A))
     N = _pad([one / x for x in u[:len(A)]], len(A))
-    yield M, N
-    for _, _, d in islice(_qd_sweep(u, L, field), 1, None):
-        M_prev, N_prev, M, N = M, N, [], []
-        for m1, m0, n1, n0, den in zip(M_prev[1:], M_prev,
-                                       N_prev[1:], N_prev, d):
-            status = _blocked(m1, m0, den)
-            if status is None and den is None:
-                status = BREAKDOWN
-            if status is None:
-                M.append((m1 - m0) / den)
-                N.append((n1 - n0) / den)
-            else:
-                M.append(status)
-                N.append(status)
-        yield M, N
+    sweep = _qd_sweep(u, L, field)
+    *_, clean = next(sweep)
+    yield M, N, clean
+    for _, _, d, clean in sweep:
+        M = _apply(_difference_step, clean, M[1:], M, d)
+        N = _apply(_difference_step, clean, N[1:], N, d)
+        yield M, N, clean
 
 
 def _fraction_free_columns(A, u, L: int, field, diagonal_only: bool):
@@ -277,20 +288,20 @@ def run_fs_qd(
         if columns is not None:
             return ExtrapolationTable(method, columns)
 
-    finite = field.is_finite
+    is_zero, finite = field.is_zero, field.is_finite
+
+    def quotient(me, ne):
+        # Checked before dividing: a non-finite M or N is never divided,
+        # and a quotient that is not finite is never reported.
+        if is_zero(ne) or not (finite(me) and finite(ne)):
+            return BREAKDOWN
+        value = me / ne
+        return value if finite(value) else BREAKDOWN
+
     columns = [_settled(A, field)]
-    for M, N in islice(_fs_sweep(A, u, L, field), 1, None):
+    for M, N, clean in islice(_fs_sweep(A, u, L, field), 1, None):
         width = 1 if diagonal_only else len(M)
-        col = []
-        for me, ne in zip(M[:width], N):
-            status = _blocked(me)
-            # Checked before dividing: a non-finite M or N is never divided.
-            if status is None and (
-                field.is_zero(ne) or not (finite(me) and finite(ne))
-            ):
-                status = BREAKDOWN
-            col.append(me / ne if status is None else status)
-        columns.append(_pad(_settled(col, field), len(M)))
+        columns.append(_pad(_apply(quotient, clean, M[:width], N), len(M)))
     return ExtrapolationTable(method, columns)
 
 

@@ -133,9 +133,9 @@ class ExtrapolationTable(_ColumnTable):
     def broken_beyond_first_column(self) -> bool:
         """True when no entry with n >= 1 is valid and at least one of
         them broke down; the rest, if any, were not computed."""
-        later = [slot for col in self.columns[1:] for slot in col]
-        return (any(slot is EntryStatus.BREAKDOWN for slot in later)
-                and all(isinstance(slot, EntryStatus) for slot in later))
+        later = self.columns[1:]
+        return (all(isinstance(s, EntryStatus) for col in later for s in col)
+                and any(EntryStatus.BREAKDOWN in col for col in later))
 
 
 class QdTable:

@@ -9,8 +9,12 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtransform.scalars import (
+    EPS,
+    FLOOR_MIN,
     CountingField,
     CountingScalar,
     FloatField,
@@ -99,6 +103,50 @@ def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
     assert same(plain.value_divisor(cd, *cops), plain.value_divisor(d, *ops))
     assert same(plain.structural_divisor(cd, *cops),
                 plain.structural_divisor(d, *ops))
+    assert counting.counts.total == 0
+
+
+def _floor_as_documented(d, *ops):
+    """The floor rule as FloatField documents it, written out: the floor
+    is EPS times the largest operand magnitude (NaN ignored), at least
+    FLOOR_MIN; a divisor below it becomes the floor with its sign."""
+    scale = max([0.0] + [abs(o) for o in ops if not math.isnan(o)])
+    floor = max(EPS * scale, FLOOR_MIN)
+    if abs(d) >= floor:
+        return d
+    return type(d)(floor if d >= 0.0 else -floor)
+
+
+# Every kind of double the floor can meet: signed zeros, subnormals, the
+# floor's own bounds, infinities and NaN, besides any finite double.
+FLOOR_OPERANDS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, FLOOR_MIN,
+                     -FLOOR_MIN, EPS, 1.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.data())
+def test_column_floor_is_the_scalar_floor_slot_by_slot(width, data):
+    """structural_divisors over a column equals structural_divisor on
+    each slot, bit for bit and in type, for the float and the counting
+    field, and both follow the documented rule; flooring counts
+    nothing."""
+    rows = data.draw(st.lists(
+        st.tuples(*[FLOOR_OPERANDS] * (width + 1)), max_size=6))
+    counting = CountingField()
+    for fld in (FloatField(), counting):
+        slots = [[fld.convert(x) for x in row] for row in rows]
+        ds = [row[0] for row in slots]
+        cols = [[row[k] for row in slots] for k in range(1, width + 1)]
+        column = fld.structural_divisors(ds, *cols)
+        scalar = [fld.structural_divisor(*row) for row in slots]
+        documented = [_floor_as_documented(*row) for row in slots]
+        for got in (scalar, documented):
+            assert [(type(x), x.hex()) for x in column] == \
+                [(type(x), x.hex()) for x in got]
+        assert all(type(x) is type(d) for x, d in zip(column, ds))
     assert counting.counts.total == 0
 
 

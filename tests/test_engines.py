@@ -27,7 +27,7 @@ from gtransform.engines import (
     shanks_prepare,
 )
 from gtransform.oracle import direct_solve, e_ref, q_ref, r_ref, s_ref
-from gtransform.scalars import FloatField, RationalField
+from gtransform.scalars import CountingField, FloatField, RationalField
 from gtransform.tables import (
     ArgumentError,
     EntryStatus,
@@ -377,3 +377,41 @@ def test_short_u_general_mode():
     t = run_fs_qd(seq, field=RAT)
     assert t.get(0, 1).status is EntryStatus.VALID
     assert t.get(0, 2).status is EntryStatus.NOT_COMPUTED
+
+
+def _qd_columns(u, L, fld):
+    table = build_qd_table(u, L, fld)
+    return table.q.columns + table.e.columns
+
+
+# Nonzero u and A values: random ones, and small powers of two and signs
+# whose exact ratios make qd divisors vanish, so that the floor acts.
+_SAMPLES = st.one_of(st.floats(min_value=0.5, max_value=1.5),
+                     st.sampled_from([1.0, 2.0, 4.0, 0.5, -1.0, -2.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_status_path_agrees_with_clean_path(L, data):
+    """A full u sweeps clean columns; the same u cut short pads its tail
+    as not computed, so every column holds a status and is swept slot by
+    slot.  Every slot with a value in the short run equals the full run's
+    slot bit for bit, under fsqd, fsqd_diag and build_qd_table, in float
+    and in counting arithmetic."""
+    A = data.draw(st.lists(_SAMPLES, min_size=L + 1, max_size=L + 1))
+    u = data.draw(st.lists(_SAMPLES, min_size=2 * L + 1, max_size=2 * L + 1))
+    cut = data.draw(st.integers(min_value=0, max_value=2 * L))
+    for fld in (FloatField(), CountingField()):
+        runs = (
+            lambda v: run_fs_qd(SequencePair(A, v, L), field=fld).columns,
+            lambda v: run_fs_qd(SequencePair(A, v, L), diagonal_only=True,
+                                field=fld).columns,
+            lambda v: _qd_columns(v, L, fld),
+        )
+        for run in runs:
+            full, short = run(u), run(u[:cut])
+            assert [len(col) for col in full] == [len(col) for col in short]
+            for col_full, col_short in zip(full, short):
+                for a, b in zip(col_full, col_short):
+                    if not isinstance(b, EntryStatus):
+                        assert (type(a), a.hex()) == (type(b), b.hex())

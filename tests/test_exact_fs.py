@@ -175,7 +175,7 @@ def test_fs_sweep_columns_are_signed_psi():
         ones = [1] * (L + 1)
         columns = list(engines._fs_sweep(A, u, L, FIELD))
         assert len(columns) == L + 1
-        for n, (M, N) in enumerate(columns):
+        for n, (M, N, _) in enumerate(columns):
             assert len(M) == len(N) == L - n + 1
             for j, (m, nv) in enumerate(zip(M, N)):
                 if isinstance(m, EntryStatus):

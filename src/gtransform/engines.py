@@ -30,9 +30,9 @@ the sweep when u is short or when a Hankel determinant the sweep divides
 by is zero, so the sweep alone decides every other breakdown.
 
 fsqd's sweeps and final division run over whole columns through _apply.
-A column made from a full u with no divisor refused holds no status, so
-no slot pays a status test, and the field floors a column's divisors in
-one call (structural_divisors).
+Until exact arithmetic refuses a divisor, a column is held without the
+not-computed tail a short u leaves, so no slot pays a status test (see
+_qd_sweep).
 """
 
 from __future__ import annotations
@@ -138,28 +138,36 @@ def _qd_sweep(u, L: int, field):
     where d[j][n] is e[j][n] passed through the field's structural
     divisor guard, scaled by the operands that formed it: None where the
     guard refuses it, e's own status where e has no value.  q_0 and d_0
-    are empty.  A short u leaves the entries that would need the missing
-    tail not computed.
+    are empty.
 
-    clean (no slot of q_n, e_n or d_n holds a status or None) holds while
-    u is full length and no divisor is refused; it is carried, not found
-    by a scan.  A clean d_n comes from the column guard structural_divisors.
+    Until the guard refuses a divisor, clean holds: no slot has broken
+    down, and the not-computed slots a short u leaves are each column's
+    tail.  A clean column is held without that tail, which _pad restores
+    where the column is read, so _apply maps f over values alone.  A
+    refused divisor (only exact arithmetic refuses one) ends clean: from
+    then on the columns are held at full length and swept slot by slot.
     """
-    clean = len(u) == 2 * L + 1
-    q = _pad([u1 / u0 for u1, u0 in zip(u[1:], u)], 2 * L)
-    e = [field.convert(0)] * (len(q) + 1)
+    q = [u1 / u0 for u1, u0 in zip(u[1:], u)]
+    e = [field.convert(0)] * (2 * L + 1)
+    clean = True
     yield [], e, [], clean
-    for _ in range(L):
+    for n in range(1, L + 1):
         ops = q[1:], q, e[1:]
-        e = _apply(lambda q1, q0, ep: q1 - q0 + ep, clean, *ops)
-        d = (field.structural_divisors(e, *ops) if clean
-             else _apply(field.structural_divisor, clean, e, *ops))
-        clean = clean and None not in d
+        e = _apply(_qd_difference, clean, *ops)
+        d = _apply(field.structural_divisor, clean, e, *ops)
+        if clean and None in d:
+            clean = False
+            size = 2 * (L - n) + 1
+            q, e, d = _pad(q, size + 1), _pad(e, size), _pad(d, size)
         yield q, e, d, clean
         q = _apply(_ratio_step, clean, e[1:], d, q[1:])
 
 
-# q and M/N updates: an entry whose divisor was refused (None) breaks down.
+# The qd and M/N updates; an entry whose divisor was refused breaks down.
+def _qd_difference(q1, q0, ep):
+    return q1 - q0 + ep
+
+
 def _ratio_step(e1, den, qn):
     return BREAKDOWN if den is None else (e1 / den) * qn
 
@@ -175,9 +183,9 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
     error."""
     field, _, u = _input(field, L, (), u)
     q_cols, e_cols = [], []
-    for q, e, _, _ in _qd_sweep(u, L, field):
-        q_cols.append(q)
-        e_cols.append(e)
+    for n, (q, e, _, _) in enumerate(_qd_sweep(u, L, field)):
+        q_cols.append(_pad(q, 2 * (L - n) + 2) if n else q)
+        e_cols.append(_pad(e, 2 * (L - n) + 1))
     return QdTable(q_cols, e_cols)
 
 
@@ -219,15 +227,18 @@ def _fs_sweep(A, u, L: int, field):
     """Columns (M_n, N_n, clean), n = 0..L, of the FS recursion over
     converted A and u: M_0[j] = A_j/u_j, N_0[j] = 1/u_j, and
     M_n[j] = (M_{n-1}[j+1] - M_{n-1}[j]) / d_n[j], N_n likewise, with d_n
-    from _qd_sweep.  Each N slot has the status of its M slot, and clean
-    is _qd_sweep's flag for d_n, which holds for M_n and N_n too."""
+    and clean from _qd_sweep.  Each N slot has the status of its M slot.
+    While clean, M_n and N_n are held without their not-computed tail, as
+    the qd columns are; after, at their full length L+1-n."""
     one = field.convert(1)
-    M = _pad([a / x for a, x in zip(A, u)], len(A))
-    N = _pad([one / x for x in u[:len(A)]], len(A))
+    M = [a / x for a, x in zip(A, u)]
+    N = [one / x for x in u[:len(A)]]
     sweep = _qd_sweep(u, L, field)
     *_, clean = next(sweep)
     yield M, N, clean
-    for _, _, d, clean in sweep:
+    for n, (_, _, d, clean) in enumerate(sweep, 1):
+        if not clean:
+            M, N = _pad(M, L + 2 - n), _pad(N, L + 2 - n)
         M = _apply(_difference_step, clean, M[1:], M, d)
         N = _apply(_difference_step, clean, N[1:], N, d)
         yield M, N, clean
@@ -301,7 +312,8 @@ def run_fs_qd(
     columns = [_settled(A, field)]
     for M, N, clean in islice(_fs_sweep(A, u, L, field), 1, None):
         width = 1 if diagonal_only else len(M)
-        columns.append(_pad(_apply(quotient, clean, M[:width], N), len(M)))
+        columns.append(_pad(_apply(quotient, clean, M[:width], N),
+                            len(columns[-1]) - 1))
     return ExtrapolationTable(method, columns)
 
 

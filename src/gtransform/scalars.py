@@ -4,11 +4,11 @@ Three realizations share one small protocol: plain machine doubles, exact
 rationals, and counting doubles.  A counting scalar is a float that tallies
 every add, subtract, multiply and divide in its field's counts; to every
 other operation, and to the float field's guards, it is a plain float.
-The breakdown policy lives here and nowhere else: engines never test a
-divisor or a value themselves.  They ask the field whether a divisor is
-refused (value_divisor, is_zero), floored (structural_divisor, or
-structural_divisors by column) or cancelled to roundoff (is_negligible),
-and whether a value they would report is finite (is_finite).
+The breakdown policy lives here and nowhere else: engines
+never test a divisor or a value themselves.  They ask the field whether a
+divisor is refused (value_divisor, is_zero), floored (structural_divisor)
+or cancelled to roundoff (is_negligible), and whether a value they would
+report is finite (is_finite).
 
 A field's convert is also the one place that turns input into numbers:
 text goes through rational_from_text, and every value it cannot represent
@@ -25,7 +25,6 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Union
 
 # Unit roundoff for double precision.  Relative negligibility threshold:
@@ -164,14 +163,6 @@ def _float_scale(ops) -> float:
     return scale
 
 
-def _floored(d, scale):
-    """d, or the floor max(EPS * scale, FLOOR_MIN) with d's sign and type."""
-    if abs(d) >= FLOOR_MIN and abs(d) >= EPS * scale:
-        return d
-    floor = max(EPS * scale, FLOOR_MIN)
-    return type(d)(floor if d >= 0.0 else -floor)
-
-
 class FloatField:
     """Machine double precision.
 
@@ -213,12 +204,11 @@ class FloatField:
         """A safe divisor for a division whose quotient only propagates the
         table (never reported directly): floored away from zero, in the
         divisor's own type."""
-        return _floored(d, _float_scale(ops))
-
-    def structural_divisors(self, ds, *cols):
-        """structural_divisor slot by slot: ds with its operand columns."""
-        scales = map(_float_scale, zip(*cols)) if cols else repeat(0.0)
-        return list(map(_floored, ds, scales))
+        scaled = EPS * _float_scale(ops)
+        if abs(d) >= FLOOR_MIN and abs(d) >= scaled:
+            return d
+        floor = max(scaled, FLOOR_MIN)
+        return type(d)(floor if d >= 0.0 else -floor)
 
 
 class RationalField:
@@ -257,9 +247,6 @@ class RationalField:
         return None if d == 0 else d
 
     structural_divisor = value_divisor
-
-    def structural_divisors(self, ds, *cols):
-        return list(map(self.value_divisor, ds))
 
 
 class CountingField(FloatField):

@@ -127,26 +127,18 @@ FLOOR_OPERANDS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=4), st.data())
-def test_column_floor_is_the_scalar_floor_slot_by_slot(width, data):
-    """structural_divisors over a column equals structural_divisor on
-    each slot, bit for bit and in type, for the float and the counting
-    field, and both follow the documented rule; flooring counts
-    nothing."""
-    rows = data.draw(st.lists(
-        st.tuples(*[FLOOR_OPERANDS] * (width + 1)), max_size=6))
+@given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=5))
+def test_structural_floor_follows_the_documented_rule(row):
+    """structural_divisor equals the documented floor rule bit for bit and
+    in type, for the float and the counting field, on every kind of
+    double; flooring counts nothing."""
     counting = CountingField()
     for fld in (FloatField(), counting):
-        slots = [[fld.convert(x) for x in row] for row in rows]
-        ds = [row[0] for row in slots]
-        cols = [[row[k] for row in slots] for k in range(1, width + 1)]
-        column = fld.structural_divisors(ds, *cols)
-        scalar = [fld.structural_divisor(*row) for row in slots]
-        documented = [_floor_as_documented(*row) for row in slots]
-        for got in (scalar, documented):
-            assert [(type(x), x.hex()) for x in column] == \
-                [(type(x), x.hex()) for x in got]
-        assert all(type(x) is type(d) for x, d in zip(column, ds))
+        d, *ops = [fld.convert(x) for x in row]
+        got = fld.structural_divisor(d, *ops)
+        want = _floor_as_documented(d, *ops)
+        assert (type(got), got.hex()) == (type(want), want.hex())
+        assert type(got) is type(d)
     assert counting.counts.total == 0
 
 

@@ -379,6 +379,16 @@ def test_short_u_general_mode():
     assert t.get(0, 2).status is EntryStatus.NOT_COMPUTED
 
 
+def test_exact_breakdown_with_short_u_reaches_every_dependent():
+    """u = 1, 1, 1 of 7 values: e_1[0] = 0 is refused as a divisor, so
+    (0,1) breaks down, and so does every entry built from it, although
+    each also needs a u value past the end, which alone would leave it
+    not computed."""
+    B, NC = EntryStatus.BREAKDOWN, EntryStatus.NOT_COMPUTED
+    t = run_fs_qd(SequencePair(A=[F(1)] * 4, u=[F(1)] * 3, L=3), field=RAT)
+    assert t.columns == [[1, 1, 1, 1], [B, NC, NC], [B, NC], [B]]
+
+
 def _qd_columns(u, L, fld):
     table = build_qd_table(u, L, fld)
     return table.q.columns + table.e.columns
@@ -392,12 +402,12 @@ _SAMPLES = st.one_of(st.floats(min_value=0.5, max_value=1.5),
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.data())
-def test_status_path_agrees_with_clean_path(L, data):
-    """A full u sweeps clean columns; the same u cut short pads its tail
-    as not computed, so every column holds a status and is swept slot by
-    slot.  Every slot with a value in the short run equals the full run's
-    slot bit for bit, under fsqd, fsqd_diag and build_qd_table, in float
-    and in counting arithmetic."""
+def test_short_u_agrees_with_full_u(L, data):
+    """A u cut short leaves each fsqd column a not-computed tail, which
+    the sweep holds apart from the values it maps over.  Every slot of
+    the short run equals the full run's slot bit for bit, or is not
+    computed, under fsqd, fsqd_diag and build_qd_table, in float and in
+    counting arithmetic."""
     A = data.draw(st.lists(_SAMPLES, min_size=L + 1, max_size=L + 1))
     u = data.draw(st.lists(_SAMPLES, min_size=2 * L + 1, max_size=2 * L + 1))
     cut = data.draw(st.integers(min_value=0, max_value=2 * L))
@@ -413,5 +423,7 @@ def test_status_path_agrees_with_clean_path(L, data):
             assert [len(col) for col in full] == [len(col) for col in short]
             for col_full, col_short in zip(full, short):
                 for a, b in zip(col_full, col_short):
-                    if not isinstance(b, EntryStatus):
+                    if isinstance(b, EntryStatus):
+                        assert b is EntryStatus.NOT_COMPUTED or a is b
+                    else:
                         assert (type(a), a.hex()) == (type(b), b.hex())

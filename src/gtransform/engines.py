@@ -29,10 +29,11 @@ pays a gcd.  That path yields the sweep's table exactly; it hands back to
 the sweep when u is short or when a Hankel determinant the sweep divides
 by is zero, so the sweep alone decides every other breakdown.
 
-fsqd's sweeps and final division run over whole columns through _apply.
-Until exact arithmetic refuses a divisor, a column is held without the
-not-computed tail a short u leaves, so no slot pays a status test (see
-_qd_sweep).
+Every engine builds its columns through _apply: the update is mapped over
+whole columns while the run is clean, and the slot rule (_blocked) applies
+once it is not.  fsqd stays clean until exact arithmetic refuses a qd
+divisor, as a short u only leaves a not-computed tail (see _qd_sweep); rs
+and eps, until a column they produce holds a breakdown (see run_rs).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ BREAKDOWN = EntryStatus.BREAKDOWN
 NOT_COMPUTED = EntryStatus.NOT_COMPUTED
 
 
-def _blocked(*slots):
+def _blocked(slots):
     """The status an entry inherits from its operand slots, or None when
     every operand holds a value.  Breakdown dominates (it propagates to
     every dependent), then not-computed."""
@@ -80,6 +81,12 @@ def _settled(col, field) -> list:
         s if s is BREAKDOWN or s is NOT_COMPUTED or finite(s) else BREAKDOWN
         for s in col
     ]
+
+
+def _holds(col) -> bool:
+    """Whether a slot of col is a breakdown, tested by identity: == would
+    call a Fraction's __eq__ on every slot."""
+    return any(s is BREAKDOWN for s in col)
 
 
 def _pad(col, length: int) -> list:
@@ -124,7 +131,7 @@ def _apply(f, clean, *cols) -> list:
     status (_blocked) and f runs only where every operand has a value."""
     if clean:
         return list(map(f, *cols))
-    return [f(*slots) if (status := _blocked(*slots)) is None else status
+    return [f(*slots) if (status := _blocked(slots)) is None else status
             for slots in zip(*cols)]
 
 
@@ -317,29 +324,6 @@ def run_fs_qd(
     return ExtrapolationTable(method, columns)
 
 
-def _guarded_factor(field, a, b, c, one):
-    """a * (b/c - 1), the update of both the r and the s recursion.
-
-    Its status is inherited from the operands first; then, with every
-    operand valid, it breaks down where the field refuses c as a value
-    divisor or finds the bracket or the product negligible (in float
-    arithmetic: cancelled to roundoff, or vanished)."""
-    status = _blocked(a, b, c)
-    if status is not None:
-        return status
-    den = field.value_divisor(c)
-    if den is None:
-        return BREAKDOWN
-    ratio = b / den
-    paren = ratio - one
-    if field.is_negligible(paren, ratio, one):
-        return BREAKDOWN
-    val = a * paren
-    if field.is_negligible(val):
-        return BREAKDOWN
-    return val
-
-
 def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     """The r/s recursion and the accelerated table it drives.
 
@@ -353,37 +337,49 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     arithmetic an update whose bracketed factor cancels to roundoff is
     marked breakdown at creation; exact zeros in the exact field stay
     valid values and only fail where actually divided by.
+
+    _apply builds every column under one clean flag for s, r and the values
+    (a choice for simplicity: s and r never read the values).  It holds
+    unless u is short or column 0 holds a breakdown, until a column does.
     """
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
-
     one = field.convert(1)
+    value_divisor, negligible, finite = (
+        field.value_divisor, field.is_negligible, field.is_finite)
+
+    def factor(a, b, c):
+        # a * (b/c - 1), the r and the s update: a breakdown where the
+        # field refuses c or finds the bracket or the product negligible.
+        den = value_divisor(c)
+        if den is None:
+            return BREAKDOWN
+        ratio = b / den
+        paren = ratio - one
+        if negligible(paren, ratio, one):
+            return BREAKDOWN
+        val = a * paren
+        return BREAKDOWN if negligible(val) else val
+
+    def entry(r0, r1, t1, t0):
+        den = value_divisor(r0 - r1, r0, r1)
+        if den is None:
+            return BREAKDOWN
+        value = (r0 * t1 - r1 * t0) / den
+        return value if finite(value) else BREAKDOWN
+
     r_cols = [[], _pad(u, 2 * L + 1)]
     s_cols = [[one] * (len(r_cols[1]) + 1)]
     columns = [_settled(A, field)]
+    clean = len(u) == 2 * L + 1 and not _holds(columns[0])
     for _ in range(L):
-        r, s_prev, t_prev = r_cols[-1], s_cols[-1], columns[-1]
-        s = [
-            _guarded_factor(field, s1, r1, r0, one)
-            for s1, r1, r0 in zip(s_prev[1:], r[1:], r)
-        ]
-        r_next = [
-            _guarded_factor(field, r1, s1, s0, one)
-            for r1, s1, s0 in zip(r[1:], s[1:], s)
-        ]
-        col = []
-        for r0, r1, t1, t0 in zip(r, r[1:], t_prev[1:], t_prev):
-            status = _blocked(r0, r1, t1, t0)
-            if status is None:
-                den = field.value_divisor(r0 - r1, r0, r1)
-                if den is None:
-                    status = BREAKDOWN
-            col.append(
-                (r0 * t1 - r1 * t0) / den if status is None else status
-            )
+        r, t = r_cols[-1], columns[-1]
+        s = _apply(factor, clean, s_cols[-1][1:], r[1:], r)
+        clean = clean and not _holds(s)
         s_cols.append(s)
-        r_cols.append(r_next)
-        columns.append(_settled(col, field))
+        r_cols.append(_apply(factor, clean, r[1:], s[1:], s))
+        columns.append(_apply(entry, clean, r, r[1:], t[1:], t))
+        clean = clean and not (_holds(r_cols[-1]) or _holds(columns[-1]))
     return RsTable(r_cols, s_cols), ExtrapolationTable("rs", columns)
 
 
@@ -394,24 +390,28 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     eps[j][k+1] = eps[j+1][k-1] + 1/(eps[j+1][k] - eps[j][k]).
     Entry (j, n) of the result is eps[j][2n]; odd columns stay internal.
     A vanishing difference or a value that is not finite marks the entry,
-    and every entry that depends on it, breakdown.
+    and every entry that depends on it, breakdown.  The columns are built
+    by _apply, clean until one holds a breakdown: the first two operand
+    columns, zeros and the raw A, hold no status.
     """
     L = (len(A) - 1) // 2
     field, vals, _ = _input(field, L, A)
-
     one = field.convert(1)
+    value_divisor, finite = field.value_divisor, field.is_finite
+
+    def step(pv, hi, lo):
+        den = value_divisor(hi - lo, hi, lo)
+        if den is None:
+            return BREAKDOWN
+        value = pv + one / den
+        return value if finite(value) else BREAKDOWN
+
     prev, cur = [field.convert(0)] * len(vals), vals
     columns = [_settled(vals, field)]
+    clean = True
     for k in range(len(vals) - 1):
-        nxt = []
-        for pv, hi, lo in zip(prev[1:], cur[1:], cur):
-            status = _blocked(pv, hi, lo)
-            if status is None:
-                den = field.value_divisor(hi - lo, hi, lo)
-                if den is None:
-                    status = BREAKDOWN
-            nxt.append(pv + one / den if status is None else status)
-        prev, cur = cur, _settled(nxt, field)
+        prev, cur = cur, _apply(step, clean, prev[1:], cur[1:], cur)
+        clean = clean and not _holds(cur)
         if k % 2 == 1:
             columns.append(cur)
     return ExtrapolationTable("eps", columns)

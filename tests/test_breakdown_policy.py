@@ -6,15 +6,29 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gtransform import engines
 from gtransform.cli import main
-from gtransform.engines import run_epsilon, run_fs_qd, run_rs, shanks_prepare
-from gtransform.scalars import CountingField, FloatField, ParseError
-from gtransform.tables import InitializationError, SequencePair
+from gtransform.engines import (
+    build_qd_table,
+    run_epsilon,
+    run_fs_qd,
+    run_rs,
+    shanks_prepare,
+)
+from gtransform.scalars import (
+    CountingField,
+    FloatField,
+    ParseError,
+    RationalField,
+)
+from gtransform.tables import EntryStatus, InitializationError, SequencePair
 
 # Finite doubles from the smallest subnormal up to 2^1023, either sign.
 MAGNITUDES = st.builds(
@@ -78,6 +92,105 @@ def test_no_valid_entry_is_non_finite(case):
                 assert not entry.valid or math.isfinite(float(entry.value)), (
                     f"{field_cls.__name__} {name} ({j},{n}) is {entry.value}"
                 )
+
+
+def _slot_rule_case(rng: random.Random):
+    """(L, A, u, E): random, degenerate (repeated or geometric u, a value
+    of A and E not finite, u near 1e+300 or 1e-300, A near the double
+    range, where an rs entry overflows) or short-u input."""
+    L = rng.randint(1, 5)
+    m = 2 * L + 1
+    kind = rng.choice(("random", "repeated", "geometric", "non-finite",
+                       "huge", "tiny", "overflow", "short"))
+    u = [rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5) for _ in range(m)]
+    if kind == "repeated":
+        u = [rng.choice((1.0, 2.0, -1.0)) for _ in range(m)]
+    elif kind == "geometric":
+        ratio = rng.choice((0.5, -0.5, 2.0))
+        u = [ratio ** k for k in range(m)]
+    elif kind in ("huge", "tiny"):
+        u = [x * (1e300 if kind == "huge" else 1e-300) for x in u]
+    elif kind == "short":
+        u = u[:rng.randrange(m)]
+    A = [rng.uniform(-2.0, 2.0) for _ in range(L + 1)]
+    # Partial sums of u, some terms repeated: epsilon differences vanish.
+    E = [sum(u[:k + 1]) if rng.random() < 0.7 else 1.0 for k in range(m)]
+    if kind == "overflow":
+        A = [x * 1e307 for x in A]
+    elif kind == "non-finite":
+        A[rng.randrange(L + 1)] = rng.choice((math.inf, -math.inf, math.nan))
+        E[rng.randrange(m)] = rng.choice((math.inf, math.nan))
+    return L, A, u, E
+
+
+def _token(x) -> str:
+    if isinstance(x, EntryStatus):
+        return x.name
+    if isinstance(x, float):
+        return type(x).__name__ + x.hex()
+    return str(x)
+
+
+def _slot_rule_runs(L, A, u, E):
+    """Each engine's columns, rs's and build_qd_table's arrays included,
+    as a function of a fresh field."""
+    seq = SequencePair(A=A, u=u, L=L)
+
+    def rs(f):
+        rs_table, table = run_rs(seq, field=f)
+        return table.columns + rs_table.r.columns + rs_table.s.columns
+
+    def qd(f):
+        qd_table = build_qd_table(u, L, f)
+        return qd_table.q.columns + qd_table.e.columns
+
+    return {
+        "fsqd": lambda f: run_fs_qd(seq, field=f).columns,
+        "fsqd_diag": lambda f: run_fs_qd(seq, diagonal_only=True,
+                                         field=f).columns,
+        "rs": rs,
+        "qd": qd,
+        "eps": lambda f: run_epsilon(E, field=f).columns,
+    }
+
+
+def test_slot_rule_everywhere_changes_no_bit(monkeypatch):
+    """_apply maps an update over whole columns only while no operand
+    slot holds a status, so forcing its slot rule everywhere changes no
+    value, status, rs or qd array or operation count, in float, counting
+    and exact arithmetic.  The draws include rs and eps runs that leave
+    the whole-column path partway, in every field."""
+    real, forced, log = engines._apply, [False], []
+
+    def apply(f, clean, *cols):
+        log.append(clean)
+        return real(f, clean and not forced[0], *cols)
+
+    monkeypatch.setattr(engines, "_apply", apply)
+    rng, left = random.Random(22), set()
+    for _ in range(120):
+        L, A, u, E = _slot_rule_case(rng)
+        exact = [[Fraction(x) for x in xs] for xs in (A, u, E)] \
+            if all(map(math.isfinite, A + E)) else None
+        for make, inputs in ((FloatField, (A, u, E)),
+                             (CountingField, (A, u, E)),
+                             (RationalField, exact)):
+            if inputs is None:
+                continue
+            for name, run in _slot_rule_runs(L, *inputs).items():
+                outs = []
+                for forced[0] in (False, True):
+                    log.clear()
+                    fld = make()
+                    cols = run(fld)
+                    counts = getattr(fld, "counts", None)
+                    outs.append(([[_token(x) for x in c] for c in cols],
+                                 counts and counts.as_dict()))
+                    if not forced[0] and log[:1] == [True] and False in log:
+                        left.add((name, make.__name__))
+                assert outs[0] == outs[1], (name, make.__name__, L, *inputs)
+    fields = ("FloatField", "CountingField", "RationalField")
+    assert {(m, f) for m in ("rs", "eps") for f in fields} <= left
 
 
 @pytest.mark.parametrize("method", ["rs", "fsqd", "eps"])

@@ -72,6 +72,23 @@ class TestTableCommand:
         assert "valid" not in later
         assert ("breakdown" in later) == (want == 3)
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+    @pytest.mark.parametrize("method", ["fsqd", "fsqd_diag", "rs", "eps"])
+    def test_exit_3_under_every_method_on_constant_u(
+        self, tmp_path, capsys, method, mode
+    ):
+        """A constant u makes every qd divisor and every r difference
+        vanish, and A = 1, 2, 3 makes the epsilon difference vanish: no
+        entry past column 0 is valid, under each method and field."""
+        doc = {"A": [1, 2, 3], "u": [1, 1, 1, 1, 1]}
+        path = write_doc(tmp_path, "in.json", doc)
+        code, out = run_json(
+            capsys, ["table", "--input", path, "--method", method, *mode]
+        )
+        assert code == 3
+        later = {r["status"] for r in out["table"] if r["n"] >= 1}
+        assert "valid" not in later and "breakdown" in later
+
     def test_empty_A_is_input_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, "in.json", {"A": []})
         code = main(["table", "--input", path, "--method", "eps"])

@@ -154,15 +154,6 @@ class CountingScalar(float):
     __radd__ = __rsub__ = __rmul__ = __rtruediv__ = _refuse
 
 
-def _float_scale(ops) -> float:
-    scale = 0.0
-    for o in ops:
-        a = abs(o)
-        if a > scale:
-            scale = a
-    return scale
-
-
 class FloatField:
     """Machine double precision.
 
@@ -188,23 +179,47 @@ class FloatField:
     def is_zero(self, v) -> bool:
         return v == 0.0
 
+    # Each guard decides in its own frame, with the operand scale (the
+    # largest |o|, NaN skipped, from 0.0) computed inline: the engines call
+    # a guard once per slot, so a call to a shared helper would cost more
+    # than the test it makes.
     def is_negligible(self, d, *ops) -> bool:
         if d == 0.0:
             return True
-        return ops != () and abs(d) <= EPS * _float_scale(ops)
+        if not ops:
+            return False
+        scale = 0.0
+        for o in ops:
+            a = abs(o)
+            if a > scale:
+                scale = a
+        return abs(d) <= EPS * scale
 
     def value_divisor(self, d, *ops):
         """The divisor for a division whose quotient is a reported value,
-        or None to signal breakdown."""
-        if self.is_negligible(d, *ops):
+        or None to signal breakdown: d is refused where is_negligible
+        holds."""
+        if d == 0.0:
             return None
-        return d
+        if not ops:
+            return d
+        scale = 0.0
+        for o in ops:
+            a = abs(o)
+            if a > scale:
+                scale = a
+        return None if abs(d) <= EPS * scale else d
 
     def structural_divisor(self, d, *ops):
         """A safe divisor for a division whose quotient only propagates the
         table (never reported directly): floored away from zero, in the
         divisor's own type."""
-        scaled = EPS * _float_scale(ops)
+        scale = 0.0
+        for o in ops:
+            a = abs(o)
+            if a > scale:
+                scale = a
+        scaled = EPS * scale
         if abs(d) >= FLOOR_MIN and abs(d) >= scaled:
             return d
         floor = max(scaled, FLOOR_MIN)

@@ -9,7 +9,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtransform.scalars import (
@@ -139,6 +139,34 @@ def test_structural_floor_follows_the_documented_rule(row):
         want = _floor_as_documented(d, *ops)
         assert (type(got), got.hex()) == (type(want), want.hex())
         assert type(got) is type(d)
+    assert counting.counts.total == 0
+
+
+def _negligible_as_documented(d, *ops):
+    """The negligibility rule as FloatField documents it, written out: d
+    vanishes when it is zero or, given operands, when |d| is at most EPS
+    times the largest operand magnitude (NaN ignored, starting from 0)."""
+    scale = max([0.0] + [abs(o) for o in ops if not math.isnan(o)])
+    return d == 0 or (len(ops) > 0 and abs(d) <= EPS * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=5))
+# A leading NaN operand must not hide the others' scale, and a divisor
+# exactly EPS times the scale is negligible.
+@example([5e-324, math.nan, 1.0])
+@example([EPS, 1.0])
+def test_negligible_and_value_divisor_follow_the_documented_rule(row):
+    """is_negligible equals the documented rule, and value_divisor returns
+    d itself where it does not hold and None where it does, for the float
+    and the counting field, on every kind of double; the guards count
+    nothing."""
+    counting = CountingField()
+    for fld in (FloatField(), counting):
+        d, *ops = [fld.convert(x) for x in row]
+        negligible = _negligible_as_documented(d, *ops)
+        assert fld.is_negligible(d, *ops) is negligible
+        assert fld.value_divisor(d, *ops) is (None if negligible else d)
     assert counting.counts.total == 0
 
 

@@ -29,18 +29,26 @@ pays a gcd.  That path yields the sweep's table exactly; it hands back to
 the sweep when u is short or when a Hankel determinant the sweep divides
 by is zero, so the sweep alone decides every other breakdown.
 
-Every engine builds its columns through _apply: the update is mapped over
-whole columns while the run is clean, and the slot rule (_blocked) applies
-once it is not.  fsqd stays clean until exact arithmetic refuses a qd
-divisor, as a short u only leaves a not-computed tail (see _qd_sweep); rs
-and eps, until a column they produce holds a breakdown (see run_rs).
+Every engine update is a function from operand columns to a result
+column: the qd difference and q update, the M/N update and the final
+quotient of fsqd, rs's factor and entry, eps's step.  Each computes only
+over the zip of its operand columns, and asks the field to judge a whole
+column of divisors in one call (structural_divisors, value_divisors).
+Every engine builds its columns through _apply, one update call per
+column.  While the run is clean the update gets the whole columns;
+once it is not, the slot rule gives each slot with a status operand its
+status, and the update runs on the rows of the others.  fsqd stays clean
+until exact arithmetic refuses a qd divisor, as a short u only leaves a
+not-computed tail (see _qd_sweep); rs and eps, until a column they
+produce holds a breakdown (see run_rs).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from typing import Any, List, Tuple
 
 from .scalars import RationalField, infer_field
@@ -60,19 +68,6 @@ BREAKDOWN = EntryStatus.BREAKDOWN
 NOT_COMPUTED = EntryStatus.NOT_COMPUTED
 
 
-def _blocked(slots):
-    """The status an entry inherits from its operand slots, or None when
-    every operand holds a value.  Breakdown dominates (it propagates to
-    every dependent), then not-computed."""
-    out = None
-    for s in slots:
-        if s is BREAKDOWN:
-            return BREAKDOWN
-        if s is NOT_COMPUTED:
-            out = NOT_COMPUTED
-    return out
-
-
 def _settled(col, field) -> list:
     """col with every value the field finds not finite marked breakdown,
     so that no engine reports an overflowed or undefined value."""
@@ -83,10 +78,10 @@ def _settled(col, field) -> list:
     ]
 
 
-def _holds(col) -> bool:
-    """Whether a slot of col is a breakdown, tested by identity: == would
-    call a Fraction's __eq__ on every slot."""
-    return any(s is BREAKDOWN for s in col)
+def _holds(col, slot=BREAKDOWN) -> bool:
+    """Whether a slot of col is slot (a breakdown unless given), tested by
+    identity: == would call a Fraction's __eq__ on every slot."""
+    return any(map(operator.is_, col, repeat(slot)))
 
 
 def _pad(col, length: int) -> list:
@@ -126,13 +121,33 @@ def _input(field, L: int, A, u=()):
 
 
 def _apply(f, clean, *cols) -> list:
-    """The column of f over the slots of cols, index by index.  Unless
-    clean (no operand slot holds a status), a slot inherits its operands'
-    status (_blocked) and f runs only where every operand has a value."""
+    """The column f makes of cols, one slot per index of their zip: f
+    takes operand columns and returns its result column.  While clean (no
+    operand slot holds a status), f gets cols as given.
+
+    Otherwise the slot rule holds: a slot inherits the status of its
+    operand slots, breakdown first (it propagates to every dependent),
+    then not-computed, and f runs once, on the rows where every operand
+    holds a value, gathered in order into columns; not at all when there
+    are none.  The statuses are found inline, not by a call per slot."""
     if clean:
-        return list(map(f, *cols))
-    return [f(*slots) if (status := _blocked(slots)) is None else status
-            for slots in zip(*cols)]
+        return f(*cols)
+    out, valued = [], []
+    for row in zip(*cols):
+        status = None
+        for s in row:
+            if s is BREAKDOWN:
+                status = BREAKDOWN
+                break
+            if s is NOT_COMPUTED:
+                status = NOT_COMPUTED
+        if status is None:
+            valued.append(row)
+        out.append(status)
+    if not valued:
+        return out
+    values = iter(f(*zip(*valued)))
+    return [next(values) if s is None else s for s in out]
 
 
 def _qd_sweep(u, L: int, field):
@@ -142,17 +157,17 @@ def _qd_sweep(u, L: int, field):
     e[j][0] = 0; q[j][1] = u_{j+1}/u_j; then
     e[j][n] = q[j+1][n] - q[j][n] + e[j+1][n-1] and
     q[j][n+1] = (e[j+1][n]/d[j][n]) * q[j+1][n],
-    where d[j][n] is e[j][n] passed through the field's structural
-    divisor guard, scaled by the operands that formed it: None where the
-    guard refuses it, e's own status where e has no value.  q_0 and d_0
-    are empty.
+    where d_n is e_n passed through the field's structural_divisors,
+    scaled by the operands that formed it: None where the guard refuses a
+    slot, e's own status where e has no value.  q_0 and d_0 are empty.
 
     Until the guard refuses a divisor, clean holds: no slot has broken
     down, and the not-computed slots a short u leaves are each column's
     tail.  A clean column is held without that tail, which _pad restores
-    where the column is read, so _apply maps f over values alone.  A
-    refused divisor (only exact arithmetic refuses one) ends clean: from
-    then on the columns are held at full length and swept slot by slot.
+    where the column is read, so _apply hands the updates values alone.
+    A refused divisor (only exact arithmetic refuses one) ends clean: from
+    then on the columns are held at full length and swept by the slot
+    rule.
     """
     q = [u1 / u0 for u1, u0 in zip(u[1:], u)]
     e = [field.convert(0)] * (2 * L + 1)
@@ -161,8 +176,8 @@ def _qd_sweep(u, L: int, field):
     for n in range(1, L + 1):
         ops = q[1:], q, e[1:]
         e = _apply(_qd_difference, clean, *ops)
-        d = _apply(field.structural_divisor, clean, e, *ops)
-        if clean and None in d:
+        d = _apply(field.structural_divisors, clean, e, *ops)
+        if clean and _holds(d, None):
             clean = False
             size = 2 * (L - n) + 1
             q, e, d = _pad(q, size + 1), _pad(e, size), _pad(d, size)
@@ -170,17 +185,20 @@ def _qd_sweep(u, L: int, field):
         q = _apply(_ratio_step, clean, e[1:], d, q[1:])
 
 
-# The qd and M/N updates; an entry whose divisor was refused breaks down.
+# The qd and M/N updates, column by column; an entry whose divisor was
+# refused (None) breaks down.
 def _qd_difference(q1, q0, ep):
-    return q1 - q0 + ep
+    return [a - b + c for a, b, c in zip(q1, q0, ep)]
 
 
-def _ratio_step(e1, den, qn):
-    return BREAKDOWN if den is None else (e1 / den) * qn
+def _ratio_step(e1, d, q1):
+    return [BREAKDOWN if den is None else (a / den) * b
+            for a, den, b in zip(e1, d, q1)]
 
 
-def _difference_step(x1, x0, den):
-    return BREAKDOWN if den is None else (x1 - x0) / den
+def _difference_step(x1, x0, d):
+    return [BREAKDOWN if den is None else (a - b) / den
+            for a, b, den in zip(x1, x0, d)]
 
 
 def build_qd_table(u, L: int, field=None) -> QdTable:
@@ -306,20 +324,21 @@ def run_fs_qd(
         if columns is not None:
             return ExtrapolationTable(method, columns)
 
-    is_zero, finite = field.is_zero, field.is_finite
+    value_divisors, finite = field.value_divisors, field.is_finite
 
-    def quotient(me, ne):
+    def quotients(M, N):
         # Checked before dividing: a non-finite M or N is never divided,
         # and a quotient that is not finite is never reported.
-        if is_zero(ne) or not (finite(me) and finite(ne)):
-            return BREAKDOWN
-        value = me / ne
-        return value if finite(value) else BREAKDOWN
+        return [
+            BREAKDOWN if den is None or not (finite(me) and finite(den))
+            or not finite(value := me / den) else value
+            for me, den in zip(M, value_divisors(N))
+        ]
 
     columns = [_settled(A, field)]
     for M, N, clean in islice(_fs_sweep(A, u, L, field), 1, None):
         width = 1 if diagonal_only else len(M)
-        columns.append(_pad(_apply(quotient, clean, M[:width], N),
+        columns.append(_pad(_apply(quotients, clean, M[:width], N[:width]),
                             len(columns[-1]) - 1))
     return ExtrapolationTable(method, columns)
 
@@ -345,28 +364,27 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
     one = field.convert(1)
-    value_divisor, negligible, finite = (
-        field.value_divisor, field.is_negligible, field.is_finite)
+    value_divisors, negligible, finite = (
+        field.value_divisors, field.is_negligible, field.is_finite)
 
     def factor(a, b, c):
         # a * (b/c - 1), the r and the s update: a breakdown where the
         # field refuses c or finds the bracket or the product negligible.
-        den = value_divisor(c)
-        if den is None:
-            return BREAKDOWN
-        ratio = b / den
-        paren = ratio - one
-        if negligible(paren, ratio, one):
-            return BREAKDOWN
-        val = a * paren
-        return BREAKDOWN if negligible(val) else val
+        return [
+            BREAKDOWN if den is None
+            or negligible(paren := (ratio := y / den) - one, ratio, one)
+            or negligible(value := x * paren) else value
+            for x, y, den in zip(a, b, value_divisors(c))
+        ]
 
     def entry(r0, r1, t1, t0):
-        den = value_divisor(r0 - r1, r0, r1)
-        if den is None:
-            return BREAKDOWN
-        value = (r0 * t1 - r1 * t0) / den
-        return value if finite(value) else BREAKDOWN
+        dens = value_divisors(
+            [x0 - x1 for x0, x1, _, _ in zip(r0, r1, t1, t0)], r0, r1)
+        return [
+            BREAKDOWN if den is None
+            or not finite(value := (x0 * y1 - x1 * y0) / den) else value
+            for x0, x1, y1, y0, den in zip(r0, r1, t1, t0, dens)
+        ]
 
     r_cols = [[], _pad(u, 2 * L + 1)]
     s_cols = [[one] * (len(r_cols[1]) + 1)]
@@ -397,14 +415,15 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     L = (len(A) - 1) // 2
     field, vals, _ = _input(field, L, A)
     one = field.convert(1)
-    value_divisor, finite = field.value_divisor, field.is_finite
+    value_divisors, finite = field.value_divisors, field.is_finite
 
     def step(pv, hi, lo):
-        den = value_divisor(hi - lo, hi, lo)
-        if den is None:
-            return BREAKDOWN
-        value = pv + one / den
-        return value if finite(value) else BREAKDOWN
+        dens = value_divisors([x - y for _, x, y in zip(pv, hi, lo)], hi, lo)
+        return [
+            BREAKDOWN if den is None
+            or not finite(value := p + one / den) else value
+            for p, den in zip(pv, dens)
+        ]
 
     prev, cur = [field.convert(0)] * len(vals), vals
     columns = [_settled(vals, field)]

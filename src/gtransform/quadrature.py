@@ -112,9 +112,14 @@ def simpson_panel(
         return 0.0
     h = (hi - lo) / subdivisions
     total = f(lo) + f(hi)
-    for i in range(1, subdivisions):
-        weight = 4.0 if i % 2 == 1 else 2.0
-        total += weight * f(lo + i * h)
+    # Interior nodes weigh 4, 2, 4, 2, ..., summed in node order: two per
+    # iteration, and the last odd node after the loop when the count is
+    # even.
+    for i in range(1, subdivisions - 1, 2):
+        total += 4.0 * f(lo + i * h)
+        total += 2.0 * f(lo + (i + 1) * h)
+    if subdivisions % 2 == 0:
+        total += 4.0 * f(lo + (subdivisions - 1) * h)
     return total * h / 3.0
 
 

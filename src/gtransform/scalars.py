@@ -6,9 +6,12 @@ every add, subtract, multiply and divide in its field's counts; to every
 other operation, and to the float field's guards, it is a plain float.
 The breakdown policy lives here and nowhere else: engines
 never test a divisor or a value themselves.  They ask the field whether a
-divisor is refused (value_divisor, is_zero), floored (structural_divisor)
-or cancelled to roundoff (is_negligible), and whether a value they would
-report is finite (is_finite).
+divisor is refused (value_divisors, is_zero), floored
+(structural_divisors) or cancelled to roundoff (is_negligible), and
+whether a value they would report is finite (is_finite).  The two
+divisor guards judge a whole column in one call: ds holds one divisor
+per slot, and each column of ops one of the operands that formed it, so
+an engine makes one guard call per column, not one per slot.
 
 A field's convert is also the one place that turns input into numbers:
 text goes through rational_from_text, and every value it cannot represent
@@ -25,6 +28,7 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Union
 
 # Unit roundoff for double precision.  Relative negligibility threshold:
@@ -179,10 +183,11 @@ class FloatField:
     def is_zero(self, v) -> bool:
         return v == 0.0
 
-    # Each guard decides in its own frame, with the operand scale (the
-    # largest |o|, NaN skipped, from 0.0) computed inline: the engines call
-    # a guard once per slot, so a call to a shared helper would cost more
-    # than the test it makes.
+    # Each guard computes its operand scale (the largest |o|, NaN skipped,
+    # from 0.0) inline in its own frame.  rs's factor asks is_negligible
+    # once per slot, between its own operations; the two column guards
+    # judge a column row by row, as one pass over the rows costs less than
+    # a pass per operand column or a call per slot.
     def is_negligible(self, d, *ops) -> bool:
         if d == 0.0:
             return True
@@ -195,35 +200,39 @@ class FloatField:
                 scale = a
         return abs(d) <= EPS * scale
 
-    def value_divisor(self, d, *ops):
-        """The divisor for a division whose quotient is a reported value,
-        or None to signal breakdown: d is refused where is_negligible
-        holds."""
-        if d == 0.0:
-            return None
+    def value_divisors(self, ds, *ops) -> list:
+        """The divisors for divisions whose quotients are reported values,
+        slot by slot: d itself, or None to signal breakdown where
+        is_negligible(d, *its operands) holds."""
         if not ops:
-            return d
-        scale = 0.0
-        for o in ops:
-            a = abs(o)
-            if a > scale:
-                scale = a
-        return None if abs(d) <= EPS * scale else d
+            return [None if d == 0.0 else d for d in ds]
+        out = []
+        for d, row in zip(ds, zip(*ops)):
+            scale = 0.0
+            for o in row:
+                a = abs(o)
+                if a > scale:
+                    scale = a
+            out.append(None if abs(d) <= EPS * scale else d)
+        return out
 
-    def structural_divisor(self, d, *ops):
-        """A safe divisor for a division whose quotient only propagates the
-        table (never reported directly): floored away from zero, in the
-        divisor's own type."""
-        scale = 0.0
-        for o in ops:
-            a = abs(o)
-            if a > scale:
-                scale = a
-        scaled = EPS * scale
-        if abs(d) >= FLOOR_MIN and abs(d) >= scaled:
-            return d
-        floor = max(scaled, FLOOR_MIN)
-        return type(d)(floor if d >= 0.0 else -floor)
+    def structural_divisors(self, ds, *ops) -> list:
+        """Safe divisors for divisions whose quotients only propagate the
+        table (never reported directly), slot by slot: d floored away from
+        zero, in its own type, to EPS times its operands' scale and at
+        least FLOOR_MIN."""
+        out = []
+        for d, row in zip(ds, zip(*ops) if ops else repeat(())):
+            scale = 0.0
+            for o in row:
+                a = abs(o)
+                if a > scale:
+                    scale = a
+            scaled = EPS * scale
+            floor = scaled if scaled > FLOOR_MIN else FLOOR_MIN
+            out.append(d if abs(d) >= floor
+                       else type(d)(floor if d >= 0.0 else -floor))
+        return out
 
 
 class RationalField:
@@ -258,10 +267,10 @@ class RationalField:
     def is_finite(v) -> bool:
         return True
 
-    def value_divisor(self, d, *ops):
-        return None if d == 0 else d
+    def value_divisors(self, ds, *ops) -> list:
+        return [None if d == 0 else d for d in ds]
 
-    structural_divisor = value_divisor
+    structural_divisors = value_divisors
 
 
 class CountingField(FloatField):

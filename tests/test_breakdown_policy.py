@@ -193,6 +193,53 @@ def test_slot_rule_everywhere_changes_no_bit(monkeypatch):
     assert {(m, f) for m in ("rs", "eps") for f in fields} <= left
 
 
+B, N = EntryStatus.BREAKDOWN, EntryStatus.NOT_COMPUTED
+SLOTS = st.one_of(st.integers(min_value=-9, max_value=9),
+                  st.sampled_from([B, N]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(SLOTS, max_size=7), min_size=1, max_size=4),
+       st.booleans())
+@example([[1, B, N, 4], [N, 2, B, 5, 6], [7, 8, 9]], False)
+@example([[B, N], [1, 2]], False)
+def test_apply_calls_its_update_once_on_the_valued_rows(cols, clean):
+    """engines._apply's contract.  Clean, f is called once on the columns
+    as given.  Otherwise f is called once, on the rows where every operand
+    holds a value, in order, and not at all when there are none; the
+    result has the zip length of the operands, every valued row takes f's
+    slot, and every other slot the slot rule's status: breakdown when an
+    operand broke down, else not computed."""
+    if clean:
+        cols = [[x for x in col if not isinstance(x, EntryStatus)]
+                for col in cols]
+    calls = []
+
+    def f(*operands):
+        calls.append(operands)
+        return [("f", row) for row in zip(*operands)]
+
+    out = engines._apply(f, clean, *cols)
+    rows = list(zip(*cols))
+    valued = [row for row in rows if not set(row) & {B, N}]
+    assert len(out) == len(rows)
+    for row, slot in zip(rows, out):
+        if B in row:
+            assert slot is B
+        elif N in row:
+            assert slot is N
+        else:
+            assert slot == ("f", row)
+    if clean:
+        assert len(calls) == 1 and all(
+            got is col for got, col in zip(calls[0], cols))
+    elif valued:
+        assert [[list(col) for col in call] for call in calls] == [
+            [list(col) for col in zip(*valued)]]
+    else:
+        assert calls == []
+
+
 @pytest.mark.parametrize("method", ["rs", "fsqd", "eps"])
 def test_overflowing_table_writes_strict_json(tmp_path, capsys, method):
     path = tmp_path / "in.json"

@@ -98,11 +98,17 @@ def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
             and (a == b or (math.isnan(a) and math.isnan(b)))
         )
 
+    def column(guard, d, ops):
+        # The row as a one-slot column: each operand its own column.
+        [got] = guard([d], *[[o] for o in ops])
+        return got
+
     assert plain.is_zero(cd) == plain.is_zero(d)
     assert plain.is_negligible(cd, *cops) == plain.is_negligible(d, *ops)
-    assert same(plain.value_divisor(cd, *cops), plain.value_divisor(d, *ops))
-    assert same(plain.structural_divisor(cd, *cops),
-                plain.structural_divisor(d, *ops))
+    assert same(column(plain.value_divisors, cd, cops),
+                column(plain.value_divisors, d, ops))
+    assert same(column(plain.structural_divisors, cd, cops),
+                column(plain.structural_divisors, d, ops))
     assert counting.counts.total == 0
 
 
@@ -129,13 +135,13 @@ FLOOR_OPERANDS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=5))
 def test_structural_floor_follows_the_documented_rule(row):
-    """structural_divisor equals the documented floor rule bit for bit and
-    in type, for the float and the counting field, on every kind of
+    """structural_divisors equals the documented floor rule bit for bit
+    and in type, for the float and the counting field, on every kind of
     double; flooring counts nothing."""
     counting = CountingField()
     for fld in (FloatField(), counting):
         d, *ops = [fld.convert(x) for x in row]
-        got = fld.structural_divisor(d, *ops)
+        [got] = fld.structural_divisors([d], *[[o] for o in ops])
         want = _floor_as_documented(d, *ops)
         assert (type(got), got.hex()) == (type(want), want.hex())
         assert type(got) is type(d)
@@ -157,16 +163,48 @@ def _negligible_as_documented(d, *ops):
 @example([5e-324, math.nan, 1.0])
 @example([EPS, 1.0])
 def test_negligible_and_value_divisor_follow_the_documented_rule(row):
-    """is_negligible equals the documented rule, and value_divisor returns
-    d itself where it does not hold and None where it does, for the float
-    and the counting field, on every kind of double; the guards count
-    nothing."""
+    """is_negligible equals the documented rule, and value_divisors
+    returns d itself where it does not hold and None where it does, for
+    the float and the counting field, on every kind of double; the guards
+    count nothing."""
     counting = CountingField()
     for fld in (FloatField(), counting):
         d, *ops = [fld.convert(x) for x in row]
         negligible = _negligible_as_documented(d, *ops)
         assert fld.is_negligible(d, *ops) is negligible
-        assert fld.value_divisor(d, *ops) is (None if negligible else d)
+        [got] = fld.value_divisors([d], *[[o] for o in ops])
+        assert got is (None if negligible else d)
+    assert counting.counts.total == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda arity: st.lists(st.lists(FLOOR_OPERANDS, min_size=arity + 1,
+                                    max_size=arity + 1),
+                           min_size=1, max_size=8)))
+# Floored, refused and kept slots side by side: an exact zero, a divisor
+# cancelled next to its operands, an ordinary one, a subnormal and NaN.
+@example([[0.0, 1.0], [1e-300, 2.0], [0.5, 3.0], [5e-324, 0.0],
+          [math.nan, 1.0], [-EPS, 1.0]])
+def test_column_guards_judge_each_slot_by_its_own_operands(rows):
+    """A column of several divisors, each with its own operands, gets slot
+    for slot what the documented rules give each row alone: floored,
+    refused and kept slots side by side.  The counting field keeps its
+    scalar type in every slot it returns, floored ones included, and
+    judging the columns counts nothing."""
+    counting = CountingField()
+    for fld in (FloatField(), counting):
+        converted = [[fld.convert(x) for x in row] for row in rows]
+        ds, *ops = (list(col) for col in zip(*converted))
+        kept = fld.value_divisors(ds, *ops)
+        floored = fld.structural_divisors(ds, *ops)
+        assert len(kept) == len(floored) == len(rows)
+        for (d, *row_ops), k, f in zip(converted, kept, floored):
+            want = None if _negligible_as_documented(d, *row_ops) else d
+            assert k is want
+            want = _floor_as_documented(d, *row_ops)
+            assert (type(f), f.hex()) == (type(want), want.hex())
+            assert type(f) is type(d)
     assert counting.counts.total == 0
 
 

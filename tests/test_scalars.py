@@ -149,23 +149,22 @@ class TestFloatField:
     def test_value_divisor_rejects_negligible(self):
         fld = FloatField()
         big = 1e10
-        assert fld.value_divisor(0.0, big) is None
-        assert fld.value_divisor(big * EPS / 2, big) is None
-        assert fld.value_divisor(1e-3, big) is not None
+        kept = fld.value_divisors([0.0, big * EPS / 2, 1e-3], [big] * 3)
+        assert kept[:2] == [None, None]
+        assert kept[2] is not None
 
     def test_structural_divisor_never_none(self):
         fld = FloatField()
-        d = fld.structural_divisor(0.0, 1.0)
+        d, d_neg = fld.structural_divisors([0.0, -1e-300], [1.0, 1.0])
         assert d is not None and d > 0
         # sign preserved for negative near-zeros
-        d_neg = fld.structural_divisor(-1e-300, 1.0)
         assert d_neg < 0
 
     def test_structural_floor_bounded_away_from_underflow(self):
         # cascaded degenerate operands must not drive the floor to the
         # subnormal range, else later quotients overflow
         fld = FloatField()
-        d = fld.structural_divisor(0.0, 0.0)
+        [d] = fld.structural_divisors([0.0], [0.0])
         assert abs(d) >= EPS * EPS
 
     def test_convert_accepts_rational_strings(self):
@@ -177,11 +176,9 @@ class TestFloatField:
 class TestRationalFieldDivisors:
     def test_zero_is_the_only_breakdown(self):
         fld = RationalField()
-        assert fld.value_divisor(Fraction(0)) is None
-        assert fld.structural_divisor(Fraction(0)) is None
         tiny = Fraction(1, 10**40)
-        assert fld.value_divisor(tiny) == tiny
-        assert fld.structural_divisor(tiny) == tiny
+        for guard in (fld.value_divisors, fld.structural_divisors):
+            assert guard([Fraction(0), tiny], [Fraction(1)] * 2) == [None, tiny]
 
     def test_convert_reads_decimal_floats_exactly(self):
         fld = RationalField()

@@ -22,12 +22,12 @@ the field's convert, and holds the input rules.  A is not empty; u has
 no zero and is not longer than 2L+1; a shorter u, empty included, leaves
 the entries that need its missing tail not computed.
 
-Over exact rationals run_fs_qd first computes its table fraction-free, on
+Over exact rationals run_fs_qd computes its table fraction-free, on
 integer Hankel and FS determinants (_fraction_free_columns), because the
 reduced Fractions of the qd sweep are large and every operation on them
-pays a gcd.  That path yields the sweep's table exactly; it hands back to
-the sweep when u is short or when a Hankel determinant the sweep divides
-by is zero, so the sweep alone decides every other breakdown.
+pays a gcd.  There an entry breaks down where f_n^(j)(1) = 0, the
+determinant of its own system, or where a Sylvester divisor in its cone
+is zero; the qd sweep serves build_qd_table and the other fields.
 
 Every engine update is a function from operand columns to a result
 column: the qd difference and q update, the M/N update and the final
@@ -37,10 +37,10 @@ column of divisors in one call (structural_divisors, value_divisors).
 Every engine builds its columns through _apply, one update call per
 column.  While the run is clean the update gets the whole columns;
 once it is not, the slot rule gives each slot with a status operand its
-status, and the update runs on the rows of the others.  fsqd stays clean
-until exact arithmetic refuses a qd divisor, as a short u only leaves a
-not-computed tail (see _qd_sweep); rs and eps, until a column they
-produce holds a breakdown (see run_rs).
+status, and the update runs on the rows of the others.  The qd and
+Sylvester sweeps stay clean until exact arithmetic refuses a divisor, as
+a short u only leaves a not-computed tail (see _qd_sweep); rs and eps,
+until a column they produce holds a breakdown (see run_rs).
 """
 
 from __future__ import annotations
@@ -215,37 +215,36 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
 
 
 def _sylvester_sweep(g, bs, L: int, field):
-    """Columns (G_n, f_n), n = 1..L, of integer Hankel and FS
-    determinants by Sylvester's identity, or None and no more where the
-    qd sweep would divide by a zero determinant.
+    """Columns (f_n, clean), n = 1..L, of integer FS determinants, with
+    the Hankel determinants they divide by, by Sylvester's identity.
 
-    From g = U_0..U_2L and integer vectors b_0..b_L in bs, G_n[j] is
+    From g = U_0..U_m and integer vectors b_0..b_L in bs, G_n[j] is
     H_n^(j), the Hankel determinant of U_j..U_{j+2n-2}, and f_n holds
     f_n^(j)(b) for each b, from H_0 = 1, H_1^(j) = U_j and f_0(b) = b:
       H_{n+1}^(j) = (H_n^(j) H_n^(j+2) - (H_n^(j+1))^2) / H_{n-1}^(j+2),
       f_n^(j) = (f_{n-1}^(j) H_n^(j+1) - H_n^(j) f_{n-1}^(j+1))
                 / H_{n-1}^(j+1),
-    every division exact.  The sweep divides by every H_n^(j) whose window
-    ends before U_2L and by H_{L+1}^(0); each is checked for zero before
-    anything is divided by it.
+    every division exact, so f_n^(j) is computed for j + 2n - 1 <= m.  A
+    divisor the field's column guard refuses breaks its slot down, and
+    _apply's slot rule breaks down every slot that depends on it; until
+    then, clean holds.
     """
-    below, fs = [1] * len(g), bs
-    for _ in range(L):
-        if any(field.is_zero(x) for x in g[:-1]):
-            yield None
-            return
-        fs = [
-            [(f0 * g1 - g0 * f1) // b1
-             for f0, f1, g0, g1, b1 in zip(f, f[1:], g, g[1:], below[1:])]
-            for f in fs
-        ]
-        yield g, fs
-        below, g = g, [
-            (g0 * g2 - g1 * g1) // b2
-            for g0, g1, g2, b2 in zip(g, g[1:], g[2:], below[2:])
-        ]
-    if field.is_zero(g[0]):
-        yield None
+    below, fs, clean = [1] * len(g), bs, True
+    for n in range(L):
+        if n:
+            below, g = g, _apply(_det_step, clean, g, g[1:], g[1:], g[2:],
+                                 d[1:])
+        d = _apply(field.value_divisors, clean, below[1:len(g)])
+        fs = [_apply(_det_step, clean, f, g, f[1:], g[1:], d) for f in fs]
+        clean = clean and not _holds(d, None)
+        yield fs, clean
+
+
+def _det_step(a, b, c, e, d):
+    # Sylvester's update (a e - b c) / d, the division exact; an entry
+    # whose divisor was refused (None) breaks down.
+    return [BREAKDOWN if den is None else (w * z - x * y) // den
+            for w, x, y, z, den in zip(a, b, c, e, d)]
 
 
 def _fs_sweep(A, u, L: int, field):
@@ -270,34 +269,33 @@ def _fs_sweep(A, u, L: int, field):
 
 
 def _fraction_free_columns(A, u, L: int, field, diagonal_only: bool):
-    """The fsqd table columns over exact rationals, or None to leave them
-    to the qd sweep: where u is short or a divisor vanishes.
+    """The fsqd table columns over exact rationals.
 
     Entry (j,n) is A(j,n) = f_n^(j)(A) / f_n^(j)(1).  Scaling u by the
     lcm D_u of its denominators leaves it unchanged, and scaling A by the
     lcm D_A of its own scales it by D_A, so _sylvester_sweep runs on
-    integers.  An entry whose f_n^(j)(1) is zero (the sweep's zero N) is a
-    breakdown.
+    integers.  It runs on u without its last value: entry (j,n) reads
+    u_j..u_{j+2n-1}, but, as under the qd sweep, it is computed only where
+    u holds u_{j+2n}.  An entry breaks down where f_n^(j)(1) is zero (its
+    system is singular), or where a divisor in its cone is.
     """
-    if len(u) < 2 * L + 1:
-        return None
-    d_u = math.lcm(*(x.denominator for x in u))
+    U = u[:-1]
+    d_u = math.lcm(*(x.denominator for x in U))
     d_A = math.lcm(*(x.denominator for x in A))
-    sweep = _sylvester_sweep(
-        [x.numerator * (d_u // x.denominator) for x in u],
+
+    def quotients(fA, f1):
+        return [BREAKDOWN if den is None else Fraction(num, d_A * den)
+                for num, den in zip(fA, field.value_divisors(f1))]
+
+    columns = [A]
+    for (fA, f1), clean in _sylvester_sweep(
+        [x.numerator * (d_u // x.denominator) for x in U],
         ([x.numerator * (d_A // x.denominator) for x in A], [1] * (L + 1)),
         L, field,
-    )
-    columns = [A]
-    for step in sweep:
-        if step is None:
-            return None
-        _, (fA, f1) = step
+    ):
         width = 1 if diagonal_only else len(f1)
-        columns.append(_pad([
-            BREAKDOWN if field.is_zero(den) else Fraction(num, d_A * den)
-            for num, den in zip(fA[:width], f1)
-        ], len(f1)))
+        columns.append(_pad(_apply(quotients, clean, fA[:width], f1[:width]),
+                            len(columns[-1]) - 1))
     return columns
 
 
@@ -311,18 +309,17 @@ def run_fs_qd(
     2L^2 + O(L); off-diagonal entries beyond column 0 are then not
     computed.
 
-    Over exact rationals the same table is first tried fraction-free on
-    integers (_fraction_free_columns); the sweep below runs only where
-    that path returns None: a short u, or a zero Hankel determinant the
-    sweep would divide by.
+    Over exact rationals the table is computed fraction-free on integer
+    determinants instead (_fraction_free_columns): an entry breaks down
+    where f_n^(j)(1) = 0, or where a Sylvester divisor in its cone is
+    zero.
     """
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
     method = "fsqd_diag" if diagonal_only else "fsqd"
     if isinstance(field, RationalField):
-        columns = _fraction_free_columns(A, u, L, field, diagonal_only)
-        if columns is not None:
-            return ExtrapolationTable(method, columns)
+        return ExtrapolationTable(
+            method, _fraction_free_columns(A, u, L, field, diagonal_only))
 
     value_divisors, finite = field.value_divisors, field.is_finite
 

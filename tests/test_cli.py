@@ -41,36 +41,46 @@ class TestTableCommand:
         assert cell["status"] == "valid"
 
     def test_fsqd_exact_geometric_breaks(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "in.json", SHANKS_DOC)
+        # Shanks on the partial sums of (1/2)^k: u is geometric, so every
+        # system of order 2 is singular and (0,2) breaks down, while the
+        # order-1 entries hold the limit 2; a valid entry past column 0
+        # means exit 0.
+        doc = {"A": ["1", "3/2", "7/4", "15/8", "31/16"], "mode": "shanks"}
+        path = write_doc(tmp_path, "in.json", doc)
         code, doc = run_json(
             capsys, ["table", "--input", path, "--method", "fsqd", "--exact"]
         )
-        # every entry past column 0 broke down, signalled by the exit code
-        assert code == 3
-        cell = next(r for r in doc["table"] if (r["j"], r["n"]) == (0, 1))
-        assert cell["status"] == "breakdown"
-        assert cell["value"] is None
+        assert code == 0
+        cells = {(r["j"], r["n"]): r for r in doc["table"]}
+        assert cells[0, 1]["value"] == cells[1, 1]["value"] == "2"
+        assert cells[0, 2]["status"] == "breakdown"
+        assert cells[0, 2]["value"] is None
+        assert doc["diagonal"] == ["1", "2", None]
 
     @pytest.mark.parametrize("method", ["fsqd", "fsqd_diag"],
                              ids=["full", "diagonal-only"])
-    @pytest.mark.parametrize("u, want", [
-        (["1", "1/2", "1/4", "1/8", "1/16"], 3),
-        # (1,1) needs u_3: not computed, and no entry past column 0 valid.
-        (["1", "1/2", "1/4"], 3),
+    @pytest.mark.parametrize("u, want, diagonal", [
+        # (0,1) and (1,1) are valid (3 and 4); on a geometric u the
+        # order-2 system is singular.
+        (["1", "1/2", "1/4", "1/8", "1/16"], 0, ["valid", "breakdown"]),
+        # (0,1)'s system is singular (u_1 = u_0); (1,1) and (0,2) need
+        # u_3 and u_4: not computed, and no entry past column 0 valid.
+        (["1", "1", "1"], 3, ["breakdown", "not_computed"]),
         # Nothing past column 0 is computed, so nothing broke down.
-        (["1", "1/2"], 0),
+        (["1", "1/2"], 0, ["not_computed", "not_computed"]),
     ], ids=["geometric", "short", "shorter"])
     def test_exit_3_when_no_entry_past_column_0_is_valid(
-        self, tmp_path, capsys, u, want, method
+        self, tmp_path, capsys, u, want, diagonal, method
     ):
         path = write_doc(tmp_path, "in.json", {"A": [1, 2, 3], "u": u})
         code, doc = run_json(
             capsys, ["table", "--input", path, "--method", method, "--exact"]
         )
         assert code == want
-        later = {r["status"] for r in doc["table"] if r["n"] >= 1}
-        assert "valid" not in later
-        assert ("breakdown" in later) == (want == 3)
+        rows = {(r["j"], r["n"]): r["status"] for r in doc["table"]}
+        assert [rows[0, 1], rows[0, 2]] == diagonal
+        later = {status for (_, n), status in rows.items() if n >= 1}
+        assert (code == 3) == ("valid" not in later and "breakdown" in later)
 
     @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
     @pytest.mark.parametrize("method", ["fsqd", "fsqd_diag", "rs", "eps"])

@@ -125,15 +125,19 @@ class TestFsQd:
             assert t.value(j, 0) == A[j]
 
     def test_exact_geometric_breaks_down(self):
+        """On a geometric u every system of order 2 or more is singular,
+        so (0,2) breaks down; the order-1 systems are not, and (0,1) and
+        (1,1) hold the limit 2."""
         seq = SequencePair(
             A=[F(1), F(3, 2), F(7, 4)],
             u=[F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)],
         )
         t = run_fs_qd(seq, field=RAT)
-        assert t.get(0, 1).status is EntryStatus.BREAKDOWN
+        assert t.value(0, 1) == t.value(1, 1) == 2
+        assert direct_solve(seq, 0, 2).singular
         assert t.get(0, 2).status is EntryStatus.BREAKDOWN
-        with pytest.raises(ArgumentError, match=r"\(0,1\) is breakdown"):
-            t.value(0, 1)
+        with pytest.raises(ArgumentError, match=r"\(0,2\) is breakdown"):
+            t.value(0, 2)
 
     def test_float_geometric_continues_to_limit(self):
         """In float arithmetic the degenerate divisor is replaced by a
@@ -356,15 +360,26 @@ def test_epsilon_identity_random():
 
 
 def test_breakdown_propagates_to_dependents():
+    """On u = 1, 1, 2, 4, 3, 5, 7, 11, 13 the Hankel determinant
+    H_2^(1) = u_1 u_3 - u_2^2 is zero.  f_3^(0) divides by it, so (0,3)
+    breaks down although its own system is nonsingular, and so does
+    (0,4), built from f_3^(0).  (0,1) breaks down on its singular system
+    (u_1 = u_0), but a zero f(1) is no divisor of the sweep, so nothing
+    that depends on it breaks down."""
+    B = EntryStatus.BREAKDOWN
     seq = SequencePair(
-        A=[F(1), F(3, 2), F(7, 4)],
-        u=[F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)],
+        A=[F(3), F(1), F(4), F(1), F(5)],
+        u=[F(x) for x in (1, 1, 2, 4, 3, 5, 7, 11, 13)],
     )
     t = run_fs_qd(seq, field=RAT)
-    assert t.get(0, 1).status is EntryStatus.BREAKDOWN
-    # (0,2) consumes (0,1) and (1,1); it cannot be valid
-    assert t.get(0, 2).status is EntryStatus.BREAKDOWN
-    assert t.broken_beyond_first_column()
+    assert t.columns[1:] == [[B, -2, 7, 17], [-2, -2, F(-4, 3)],
+                             [B, F(-37, 21)], [B]]
+    assert direct_solve(seq, 0, 1).singular
+    assert not direct_solve(seq, 0, 3).singular
+    assert not direct_solve(seq, 0, 4).singular
+    assert not t.broken_beyond_first_column()
+    constant = SequencePair(A=[F(1), F(2), F(3)], u=[F(1)] * 5)
+    assert run_fs_qd(constant, field=RAT).broken_beyond_first_column()
 
 
 def test_sequence_pair_refuses_A_of_another_length_than_L_plus_1():
@@ -380,13 +395,15 @@ def test_short_u_general_mode():
 
 
 def test_exact_breakdown_with_short_u_reaches_every_dependent():
-    """u = 1, 1, 1 of 7 values: e_1[0] = 0 is refused as a divisor, so
-    (0,1) breaks down, and so does every entry built from it, although
-    each also needs a u value past the end, which alone would leave it
-    not computed."""
+    """u = 1, 1, 1, 1, 1 of 7 values: the qd divisors e_1[0..2] = 0 are
+    refused, so q_2[0] and q_2[1] break down, and so does every slot
+    built from them.  e_2[1] and q_3[1] also read a slot that the
+    missing tail of u leaves not computed, which alone would leave them
+    not computed: breakdown wins."""
     B, NC = EntryStatus.BREAKDOWN, EntryStatus.NOT_COMPUTED
-    t = run_fs_qd(SequencePair(A=[F(1)] * 4, u=[F(1)] * 3, L=3), field=RAT)
-    assert t.columns == [[1, 1, 1, 1], [B, NC, NC], [B, NC], [B]]
+    t = build_qd_table([F(1)] * 5, 3, RAT)
+    assert t.q.columns == [[], [1, 1, 1, 1, NC, NC], [B, B, NC, NC], [B, B]]
+    assert t.e.columns == [[0] * 7, [0, 0, 0, NC, NC], [B, B, NC], [B]]
 
 
 def _qd_columns(u, L, fld):

@@ -1,11 +1,12 @@
-"""The fraction-free exact FS path against the qd sweep it stands in for.
+"""The fraction-free exact FS path, refereed by the linear system.
 
-Over exact rationals run_fs_qd first tries the integer path
-(_fraction_free_columns).  It must give the sweep's table exactly, values
-and statuses, wherever it returns columns, and hand back to the sweep
-exactly when u is short or a Hankel determinant the sweep divides by is
-zero.  Its integer determinants, and the M/N arrays the sweep carries,
-are checked against the oracle's determinant definitions.
+Over exact rationals run_fs_qd computes its table on integer determinants
+alone (_fraction_free_columns).  An entry breaks down where f_n^(j)(1) =
+0, the determinant of its own system, or where a Sylvester divisor in its
+cone is zero; otherwise it is the system's solution, which direct_solve
+computes by elimination.  Its integer determinants, and the M/N arrays
+the Fraction qd sweep carries, are checked against the oracle's
+determinant definitions.
 """
 
 from __future__ import annotations
@@ -17,12 +18,19 @@ from fractions import Fraction
 import pytest
 
 from gtransform import engines
-from gtransform.engines import run_fs_qd, shanks_prepare
-from gtransform.oracle import SingularError, f_det, hankel_det, psi
+from gtransform.engines import run_fs_qd, run_rs, shanks_prepare
+from gtransform.oracle import (
+    SingularError,
+    direct_solve,
+    f_det,
+    hankel_det,
+    psi,
+)
 from gtransform.scalars import RationalField
 from gtransform.tables import EntryStatus, InitializationError, SequencePair
 
 FIELD = RationalField()
+BREAKDOWN, NOT_COMPUTED = EntryStatus.BREAKDOWN, EntryStatus.NOT_COMPUTED
 KINDS = ("pq", "geometric", "two_geometric", "small_int", "shanks", "short",
          "zero_f1")
 
@@ -75,72 +83,89 @@ def _corpus(count, max_L, seed):
     return out
 
 
-def _sweep(monkeypatch, seq, diagonal_only):
-    """run_fs_qd with the integer path switched off."""
-    with monkeypatch.context() as m:
-        m.setattr(engines, "_fraction_free_columns", lambda *args: None)
-        return run_fs_qd(seq, diagonal_only, FIELD)
+def _computed(L, u, n, diagonal_only):
+    """How many slots of column n the table computes: entry (j,n) needs
+    u_{j+2n}, and fsqd_diag computes only j = 0."""
+    width = max(0, min(L + 1 - n, len(u) - 2 * n))
+    return min(width, 1) if diagonal_only else width
 
 
-def _divided_hankel_is_zero(u, L):
-    """Whether a Hankel determinant the sweep divides by is zero: some
-    H_k^(j) whose window u_j..u_{j+2k-2} ends before u_2L, or H_{L+1}^(0)."""
-    return hankel_det(u, 0, L + 1) == 0 or any(
-        hankel_det(u, j, k) == 0
-        for k in range(1, L + 1)
-        for j in range(2 * L - 2 * k + 2)
-    )
-
-
-def _slots(table):
-    return [[(type(s), s) for s in col] for col in table.columns]
-
-
-def test_integer_path_equals_the_sweep(monkeypatch):
-    """Equal values and statuses wherever the integer path answers, and a
-    fallback exactly where the rule says so, on every kind of input."""
-    taken = {kind: 0 for kind in KINDS}
-    fell_back = {kind: 0 for kind in KINDS}
-    zero_f1_breakdowns = 0
+def test_valid_entries_equal_direct_solve():
+    """Every valid fsqd and fsqd_diag entry is direct_solve's value, every
+    computed entry whose system is singular is breakdown, and a slot is
+    not computed exactly where its u is missing or, under fsqd_diag, off
+    the diagonal: on every kind of input, short and geometric included."""
+    tally = {"valid": 0, "singular": 0, "cone": 0}
+    valid_by_kind = {kind: 0 for kind in KINDS}
     for kind, A, u, L in _corpus(280, 7, seed=2017):
         seq = SequencePair(A=A, u=u, L=L)
-        expect_fallback = len(u) < 2 * L + 1 or _divided_hankel_is_zero(u, L)
+        solved = {}
         for diagonal_only in (False, True):
             table = run_fs_qd(seq, diagonal_only, FIELD)
-            assert _slots(table) == _slots(
-                _sweep(monkeypatch, seq, diagonal_only)), (kind, A, u, L)
-            columns = engines._fraction_free_columns(
-                A, u, L, FIELD, diagonal_only)
-            assert (columns is None) == expect_fallback, (kind, A, u, L)
-            if columns is None:
-                fell_back[kind] += 1
-                continue
-            taken[kind] += 1
-            zero_f1_breakdowns += sum(
-                s is EntryStatus.BREAKDOWN for col in columns for s in col)
-    # Not vacuous: of the 80 runs of each kind, the integer path answers
-    # on the generic kinds and on Shanks-padded input, every geometric and
-    # short run falls back, small integers go both ways, and zero f(1)
-    # breakdowns occur on the integer path.
-    for kind, least in (("pq", 60), ("shanks", 60), ("zero_f1", 60),
-                        ("small_int", 20)):
-        assert taken[kind] >= least, (kind, taken)
-    for kind, least in (("geometric", 80), ("short", 80),
-                        ("two_geometric", 40), ("small_int", 30)):
-        assert fell_back[kind] >= least, (kind, fell_back)
-    assert zero_f1_breakdowns >= 50
+            assert table.columns[0] == A
+            for n, col in enumerate(table.columns[1:], start=1):
+                width = _computed(L, u, n, diagonal_only)
+                assert col[width:] == [NOT_COMPUTED] * (len(col) - width)
+                for j, slot in enumerate(col[:width]):
+                    if (j, n) not in solved:
+                        solved[j, n] = direct_solve(seq, j, n)
+                    ref = solved[j, n]
+                    where = (kind, A, u, L, j, n, diagonal_only)
+                    if slot is BREAKDOWN:
+                        tally["singular" if ref.singular else "cone"] += 1
+                        continue
+                    assert not ref.singular and slot == ref.value, where
+                    tally["valid"] += 1
+                    valid_by_kind[kind] += 1
+    # Not vacuous: each kind yields valid entries past column 0, and
+    # breakdowns occur both on singular systems and on nonsingular ones
+    # behind a zero Sylvester divisor.
+    assert all(count > 0 for count in valid_by_kind.values()), valid_by_kind
+    assert tally["valid"] > 3000 and tally["singular"] > 300, tally
+    assert tally["cone"] > 20, tally
 
 
-def test_shanks_pad_zero_is_not_a_fallback():
-    A, u, L = _case("shanks", 4, random.Random(5))
-    assert hankel_det(u, 2 * L - 2, 2) == 0
-    assert engines._fraction_free_columns(A, u, L, FIELD, False) is not None
+def test_exact_fsqd_never_runs_the_qd_sweep(monkeypatch):
+    """Over exact rationals run_fs_qd takes the integer path alone: the
+    Fraction qd sweep is never entered, on any kind of input."""
+    def refuse(*args):
+        raise AssertionError("the qd sweep ran")
+
+    monkeypatch.setattr(engines, "_qd_sweep", refuse)
+    kinds = set()
+    for kind, A, u, L in _corpus(140, 7, seed=99):
+        for diagonal_only in (False, True):
+            table = run_fs_qd(SequencePair(A=A, u=u, L=L), diagonal_only,
+                              FIELD)
+            assert len(table.columns) == L + 1
+        kinds.add(kind)
+    assert kinds == set(KINDS)
+
+
+def test_entries_behind_a_zero_hankel_determinant_stay_valid():
+    """H_2^(0) = u_0 u_2 - u_1^2 = 0 on u = (1, 2, 4, 5, 7), but no entry
+    divides by it: fsqd and fsqd_diag keep every entry, equal to
+    direct_solve, and exact rs agrees."""
+    seq = SequencePair(A=[Fraction(x) for x in (3, 1, 4)],
+                       u=[Fraction(x) for x in (1, 2, 4, 5, 7)])
+    assert hankel_det(seq.u, 0, 2) == 0
+    want = {(0, 1): 5, (1, 1): -2, (0, 2): 5}
+    full = run_fs_qd(seq, field=FIELD)
+    diag = run_fs_qd(seq, diagonal_only=True, field=FIELD)
+    rs = run_rs(seq, field=FIELD)[1]
+    for (j, n), value in want.items():
+        assert direct_solve(seq, j, n).value == value
+        assert full.columns[n][j] == value
+        assert rs.columns[n][j] == value
+        if j == 0:
+            assert diag.columns[n][j] == value
 
 
 @pytest.mark.parametrize("L", range(0, 8))
 def test_sylvester_columns_match_the_determinant_definitions(L):
-    """G_n[j] = D_u^n H_n^(j) and f_n^(j)(b) = D_u^n D_b f_det(b, j, n),
-    for b = A and b = 1, on every column the integer sweep yields."""
+    """f_n^(j)(b) = D_u^n D_b f_det(b, j, n), for b = A and b = 1, on
+    every column the integer sweep yields; no divisor is zero on these
+    draws, so every column is clean."""
     rng = random.Random(100 + L)
     for _ in range(3):
         A = [_pq(rng) for _ in range(L + 1)]
@@ -150,13 +175,11 @@ def test_sylvester_columns_match_the_determinant_definitions(L):
         steps = list(engines._sylvester_sweep(
             [int(x * d_u) for x in u],
             ([int(a * d_A) for a in A], [1] * (L + 1)), L, FIELD))
-        assert len(steps) == L and None not in steps
+        assert len(steps) == L
         ones = [1] * (L + 1)
-        for n, (G, (fA, f1)) in enumerate(steps, start=1):
-            assert len(G) == 2 * L + 3 - 2 * n
+        for n, ((fA, f1), clean) in enumerate(steps, start=1):
+            assert clean
             assert len(fA) == len(f1) == L - n + 1
-            for j, value in enumerate(G):
-                assert value == hankel_det(u, j, n) * d_u ** n, (n, j)
             for j in range(L - n + 1):
                 assert fA[j] == f_det(A, u, j, n) * d_u ** n * d_A
                 assert f1[j] == f_det(ones, u, j, n) * d_u ** n

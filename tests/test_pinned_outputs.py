@@ -30,7 +30,7 @@ from gtransform.engines import (
 from gtransform.scalars import CountingField, FloatField, RationalField
 from gtransform.tables import SequencePair
 
-PINNED_SHA256 = "0230583601954a750f8a6326f07f5031fe81067d8fd42a595628a01bcc5d19d5"
+PINNED_SHA256 = "e00e65e23adcd8c817a73da3d7a1f436388641a41a9949f6976b31c812f4b6af"
 
 
 def _token(v) -> str:

@@ -5,8 +5,8 @@ statuses instead of aborting on degenerate data.  Every engine obeys one
 rule: an entry breaks down when an operand has broken down, when the field
 refuses its divisor, or when the value it would report is not finite; an
 entry with an operand not computed (and none broken down) is not
-computed.  Whether a divisor is refused, floored or cancelled, and whether
-a value is finite, is decided by the field (see .scalars), never here.
+computed.  The field (.scalars) decides whether a divisor is refused or
+floored, an rs factor cancelled or a value finite; an engine never does.
 Under float arithmetic the divisors that only propagate the
 quotient-difference table are floored rather than refused, because their
 size is a gauge choice that cancels between the paired numerator and
@@ -32,8 +32,8 @@ is zero; the qd sweep serves build_qd_table and the other fields.
 Every engine update is a function from operand columns to a result
 column: the qd difference and q update, the M/N update and the final
 quotient of fsqd, rs's factor and entry, eps's step.  Each computes only
-over the zip of its operand columns, and asks the field to judge a whole
-column of divisors in one call (structural_divisors, value_divisors).
+over the zip of its operand columns, and each guard it asks judges a
+whole column in one call (structural_divisors, value_divisors, value_factors).
 Every engine builds its columns through _apply, one update call per
 column.  While the run is clean the update gets the whole columns;
 once it is not, the slot rule gives each slot with a status operand its
@@ -349,10 +349,11 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     entry (j,n) = (r[j][n] T(j+1,n-1) - r[j+1][n] T(j,n-1))
                   / (r[j][n] - r[j+1][n]).
 
-    The r and s quantities carry value information, so under float
-    arithmetic an update whose bracketed factor cancels to roundoff is
-    marked breakdown at creation; exact zeros in the exact field stay
-    valid values and only fail where actually divided by.
+    The r and s quantities carry value information, so the field's
+    value_factors judges their brackets and products, column by column:
+    under float arithmetic one that cancels to roundoff is marked
+    breakdown at creation; exact zeros stay valid and only fail where
+    actually divided by.
 
     _apply builds every column under one clean flag for s, r and the values
     (a choice for simplicity: s and r never read the values).  It holds
@@ -361,18 +362,20 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
     one = field.convert(1)
-    value_divisors, negligible, finite = (
-        field.value_divisors, field.is_negligible, field.is_finite)
+    value_divisors, value_factors, finite = (
+        field.value_divisors, field.value_factors, field.is_finite)
 
     def factor(a, b, c):
-        # a * (b/c - 1), the r and the s update: a breakdown where the
-        # field refuses c or finds the bracket or the product negligible.
-        return [
-            BREAKDOWN if den is None
-            or negligible(paren := (ratio := y / den) - one, ratio, one)
-            or negligible(value := x * paren) else value
-            for x, y, den in zip(a, b, value_divisors(c))
-        ]
+        # a * (b/c - 1), the r and the s update, in three passes (the
+        # ratios, the brackets, the products), each computed on the slots
+        # the field has not refused (None): it judges c, the bracket next
+        # to its operands and the product.
+        ratios = [None if den is None else y / den
+                  for y, den in zip(b, value_divisors(c))]
+        brackets = value_factors([None if x is None else x - one
+                                  for x in ratios], ratios, repeat(one))
+        return [BREAKDOWN if v is None else v for v in value_factors(
+            [None if p is None else x * p for x, p in zip(a, brackets)])]
 
     def entry(r0, r1, t1, t0):
         dens = value_divisors(

@@ -5,13 +5,15 @@ rationals, and counting doubles.  A counting scalar is a float that tallies
 every add, subtract, multiply and divide in its field's counts; to every
 other operation, and to the float field's guards, it is a plain float.
 The breakdown policy lives here and nowhere else: engines
-never test a divisor or a value themselves.  They ask the field whether a
-divisor is refused (value_divisors, is_zero), floored
-(structural_divisors) or cancelled to roundoff (is_negligible), and
-whether a value they would report is finite (is_finite).  The two
-divisor guards judge a whole column in one call: ds holds one divisor
-per slot, and each column of ops one of the operands that formed it, so
-an engine makes one guard call per column, not one per slot.
+never test a divisor or a value themselves.  Every guard a sweep asks
+judges a whole column in one call: whether a divisor is refused
+(value_divisors) or floored (structural_divisors), or an rs factor
+cancelled to roundoff (value_factors).  ds holds one quantity per slot,
+and each column of ops one of the operands that formed it; the value
+guards keep a slot refused by an earlier guard (None) refused, without
+reading its operands, so an engine can chain them.  is_zero and
+is_finite judge single values: the input checks, and whether a value an
+engine would report is finite.
 
 A field's convert is also the one place that turns input into numbers:
 text goes through rational_from_text, and every value it cannot represent
@@ -164,8 +166,9 @@ class FloatField:
     Structural divisors (the quotient-difference e-quantities, whose effect
     cancels between numerator tables) are floored rather than refused, so
     the table continues through exactly-degenerate data.  Value-bearing
-    divisors are refused (None) when negligible relative to the operands
-    that produced them, and a value that is not finite is never reported.
+    divisors and rs factors are refused (None) when negligible next to the
+    operands that produced them; a value that is not finite is never
+    reported.
     """
 
     is_finite = staticmethod(math.isfinite)
@@ -184,30 +187,21 @@ class FloatField:
         return v == 0.0
 
     # Each guard computes its operand scale (the largest |o|, NaN skipped,
-    # from 0.0) inline in its own frame.  rs's factor asks is_negligible
-    # once per slot, between its own operations; the two column guards
-    # judge a column row by row, as one pass over the rows costs less than
-    # a pass per operand column or a call per slot.
-    def is_negligible(self, d, *ops) -> bool:
-        if d == 0.0:
-            return True
-        if not ops:
-            return False
-        scale = 0.0
-        for o in ops:
-            a = abs(o)
-            if a > scale:
-                scale = a
-        return abs(d) <= EPS * scale
-
+    # from 0.0) inline in its own frame and judges a column row by row, as
+    # one pass over the rows costs less than a pass per operand column or
+    # a call per slot.
     def value_divisors(self, ds, *ops) -> list:
         """The divisors for divisions whose quotients are reported values,
-        slot by slot: d itself, or None to signal breakdown where
-        is_negligible(d, *its operands) holds."""
+        slot by slot: d itself, or None to signal breakdown where d is
+        negligible: zero, or, given operands, at most EPS times the
+        largest of their magnitudes.  A None d stays None."""
         if not ops:
             return [None if d == 0.0 else d for d in ds]
         out = []
         for d, row in zip(ds, zip(*ops)):
+            if d is None:
+                out.append(None)
+                continue
             scale = 0.0
             for o in row:
                 a = abs(o)
@@ -215,6 +209,8 @@ class FloatField:
                     scale = a
             out.append(None if abs(d) <= EPS * scale else d)
         return out
+
+    value_factors = value_divisors
 
     def structural_divisors(self, ds, *ops) -> list:
         """Safe divisors for divisions whose quotients only propagate the
@@ -239,8 +235,8 @@ class RationalField:
     """Exact rational arithmetic over fractions.Fraction.
 
     Every result is normalized (reduced, positive denominator), so equality
-    is structural.  Both divisor kinds refuse exact zeros; nothing is
-    negligible and every value is finite.
+    is structural.  Both divisor kinds refuse exact zeros; no rs factor is
+    refused and every value is finite.
     """
 
     def convert(self, v: Numeric) -> Fraction:
@@ -260,9 +256,6 @@ class RationalField:
     def is_zero(self, v) -> bool:
         return v == 0
 
-    def is_negligible(self, d, *ops) -> bool:
-        return False
-
     @staticmethod
     def is_finite(v) -> bool:
         return True
@@ -271,6 +264,9 @@ class RationalField:
         return [None if d == 0 else d for d in ds]
 
     structural_divisors = value_divisors
+
+    def value_factors(self, ds, *ops) -> list:
+        return list(ds)
 
 
 class CountingField(FloatField):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,60 @@ def test_slot_rule_everywhere_changes_no_bit(monkeypatch):
                 assert outs[0] == outs[1], (name, make.__name__, L, *inputs)
     fields = ("FloatField", "CountingField", "RationalField")
     assert {(m, f) for m in ("rs", "eps") for f in fields} <= left
+
+
+# The per-value checks: input conversion, the zero test on u and on
+# shanks_prepare's differences, and the finiteness of a reported value.
+# Every other method of a field is a guard a sweep asks.
+PER_VALUE = {"convert", "is_zero", "is_finite"}
+
+
+def _recording_field():
+    """A FloatField whose every guard counts its calls, and the tally."""
+    calls = Counter()
+
+    def recorder(name):
+        guard = getattr(FloatField, name)
+
+        def record(self, *args):
+            calls[name] += 1
+            return guard(self, *args)
+        return record
+
+    guards = [name for name, attr in vars(FloatField).items()
+              if callable(attr) and not name.startswith("_")
+              and name not in PER_VALUE]
+    assert {"value_divisors", "structural_divisors"} <= set(guards)
+    field = type("RecordingField", (FloatField,),
+                 {name: recorder(name) for name in guards})()
+    return field, calls
+
+
+@pytest.mark.parametrize("method", ["fsqd", "fsqd_diag", "rs", "eps"])
+def test_every_guard_judges_a_column(method):
+    """The engines ask the field's guards once per column, never once per
+    slot: on a run with no breakdown each float engine makes between L
+    and 8L guard calls at L = 20, 40 and 150, so the count grows linearly
+    in L while a table has about L^2 slots.  No field keeps a per-slot
+    negligibility test."""
+    for make in (FloatField, CountingField, RationalField):
+        assert not hasattr(make(), "is_negligible")
+    rng = random.Random(26)
+    for L in (20, 40, 150):
+        A = [rng.uniform(-1.0, 1.0) for _ in range(L + 1)]
+        u = [rng.uniform(0.5, 2.0) for _ in range(2 * L + 1)]
+        seq = SequencePair(A=A, u=u)
+        field, calls = _recording_field()
+        if method == "eps":
+            table = run_epsilon(u, field=field)
+        elif method == "rs":
+            table = run_rs(seq, field=field)[1]
+        else:
+            table = run_fs_qd(seq, diagonal_only=method == "fsqd_diag",
+                              field=field)
+        assert not any(e.status is EntryStatus.BREAKDOWN
+                       for _, e in table.items())
+        assert L <= sum(calls.values()) <= 8 * L, (L, dict(calls))
 
 
 B, N = EntryStatus.BREAKDOWN, EntryStatus.NOT_COMPUTED

@@ -104,7 +104,8 @@ def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
         return got
 
     assert plain.is_zero(cd) == plain.is_zero(d)
-    assert plain.is_negligible(cd, *cops) == plain.is_negligible(d, *ops)
+    assert same(column(plain.value_factors, cd, cops),
+                column(plain.value_factors, d, ops))
     assert same(column(plain.value_divisors, cd, cops),
                 column(plain.value_divisors, d, ops))
     assert same(column(plain.structural_divisors, cd, cops),
@@ -163,18 +164,39 @@ def _negligible_as_documented(d, *ops):
 @example([5e-324, math.nan, 1.0])
 @example([EPS, 1.0])
 def test_negligible_and_value_divisor_follow_the_documented_rule(row):
-    """is_negligible equals the documented rule, and value_divisors
-    returns d itself where it does not hold and None where it does, for
-    the float and the counting field, on every kind of double; the guards
-    count nothing."""
+    """value_factors and value_divisors return d itself where the
+    documented negligibility rule does not hold and None where it does,
+    for the float and the counting field, on every kind of double; the
+    exact field returns every slot unchanged, an exact 0 included; the
+    guards count nothing."""
     counting = CountingField()
     for fld in (FloatField(), counting):
         d, *ops = [fld.convert(x) for x in row]
         negligible = _negligible_as_documented(d, *ops)
-        assert fld.is_negligible(d, *ops) is negligible
-        [got] = fld.value_divisors([d], *[[o] for o in ops])
-        assert got is (None if negligible else d)
+        for guard in (fld.value_factors, fld.value_divisors):
+            [got] = guard([d], *[[o] for o in ops])
+            assert got is (None if negligible else d)
     assert counting.counts.total == 0
+    exact = RationalField()
+    finite = [Fraction(x) for x in row if math.isfinite(x)]
+    column = [Fraction(0), *finite]
+    got = exact.value_factors(column, column, column)
+    assert len(got) == len(column) and all(map(operator.is_, got, column))
+
+
+@pytest.mark.parametrize("make", [FloatField, CountingField, RationalField])
+def test_value_guards_keep_a_refused_slot_refused(make):
+    """A slot an earlier guard refused (None) stays None through both
+    value guards, with or without operands, and its operands (None too)
+    are not read; the other slots are judged as usual."""
+    fld = make()
+    one, zero = fld.convert(1), fld.convert(0)
+    # The exact field refuses no factor, not even an exact zero.
+    for guard, kept in ((fld.value_divisors, False),
+                        (fld.value_factors, make is RationalField)):
+        assert guard([None, one]) == [None, one]
+        got = guard([None, one, zero], [None, one, one])
+        assert got == [None, one, zero if kept else None]
 
 
 @settings(max_examples=200, deadline=None)

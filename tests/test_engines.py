@@ -27,7 +27,7 @@ from gtransform.engines import (
     shanks_prepare,
 )
 from gtransform.oracle import direct_solve, e_ref, q_ref, r_ref, s_ref
-from gtransform.scalars import CountingField, FloatField, RationalField
+from gtransform.scalars import EPS, CountingField, FloatField, RationalField
 from gtransform.tables import (
     ArgumentError,
     EntryStatus,
@@ -237,6 +237,36 @@ class TestRs:
             assert table.get(j, n).status is (
                 EntryStatus.BREAKDOWN if lost else EntryStatus.VALID
             )
+
+    # Float u on which rs's factor refuses r[j][2] = u_{j+1} (s[j+1][1] /
+    # s[j][1] - 1): the slot j, and what the bracket b and the product p
+    # computed from the table's own s values must be.
+    FACTOR_REFUSALS = {
+        # q = 2: every s[j][1] is 1, so the bracket is exactly zero.
+        "bracket-zero": ([2.0 ** k for k in range(5)], 0,
+                         lambda b, p: b == 0.0),
+        # q = 3.3: s[2][1] / s[1][1] rounds to 1 + EPS.
+        "bracket-roundoff": ([3.3 ** k for k in range(5)], 1,
+                             lambda b, p: 0.0 < abs(b) <= EPS),
+        # 10, 21 and 44 smallest subnormals: the product is -1/11 of the
+        # smallest subnormal and rounds to -0.0.
+        "product-underflow": ([k * 5e-324 for k in (10, 21, 44)], 0,
+                              lambda b, p: abs(b) > EPS and p == 0.0),
+    }
+
+    @pytest.mark.parametrize("u,j,kind", FACTOR_REFUSALS.values(),
+                             ids=FACTOR_REFUSALS)
+    def test_float_factor_breaks_down_where_it_cancels_or_underflows(
+            self, u, j, kind):
+        L = (len(u) - 1) // 2
+        seq = SequencePair(A=[float(k) for k in range(L + 1)], u=u)
+        rs, _ = run_rs(seq, field=FLT)
+        s0, s1 = rs.s.get(j, 1).value, rs.s.get(j + 1, 1).value
+        bracket = s1 / s0 - 1.0
+        assert kind(bracket, rs.r.get(j + 1, 1).value * bracket)
+        assert rs.r.get(j, 2).status is EntryStatus.BREAKDOWN
+        exact, _ = run_rs(seq, field=RAT)
+        assert exact.r.get(j, 2).valid
 
 
 class TestEpsilon:

@@ -10,7 +10,15 @@ arithmetic layer that counts operations per method.
 The root holds the names a caller runs the package with.  Everything
 else (the oracle, the qd and rs arrays, the counting scalar and its
 tally, the report types) is imported from its own module.
+
+Importing the root loads only the fields, the tables and the engines.
+The integral driver's names (QuadratureConfig, g_transform, make_spec,
+sample_F), the operation counter's (bench_method, bench_on) and the
+exact suite's (run_equivalence_suite) load their module on first access
+(PEP 562), so a caller of the engines does not pay for compiling them.
 """
+
+import importlib
 
 from .scalars import CountingField, FloatField, ParseError, RationalField
 from .tables import (
@@ -30,14 +38,6 @@ from .engines import (
     run_rs,
     shanks_prepare,
 )
-from .quadrature import (
-    QuadratureConfig,
-    g_transform,
-    make_spec,
-    sample_F,
-)
-from .opbench import bench_method, bench_on
-from .crosscheck import run_equivalence_suite
 
 __version__ = "0.1.0"
 
@@ -68,3 +68,31 @@ __all__ = [
     "run_equivalence_suite",
     "__version__",
 ]
+
+# Root names loaded on first access, each with the submodule defining it.
+_LAZY = {
+    "QuadratureConfig": "quadrature",
+    "g_transform": "quadrature",
+    "make_spec": "quadrature",
+    "sample_F": "quadrature",
+    "bench_method": "opbench",
+    "bench_on": "opbench",
+    "run_equivalence_suite": "crosscheck",
+}
+
+
+def __getattr__(name):
+    """Import the submodule that defines a deferred root name, and bind
+    the name here so that later lookups do not come back."""
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

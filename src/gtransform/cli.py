@@ -29,10 +29,12 @@ from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
-from .crosscheck import run_equivalence_suite
+# The integral driver and the exact suite are imported inside the command
+# that runs them (cmd_integrate, cmd_check), so a table or bench process
+# never loads them.  The module docstring is --help's text, so this note
+# lives here.
 from .engines import METHODS, accelerate
 from .opbench import MIN_L, bench_method
-from .quadrature import QuadratureConfig, g_transform, make_spec
 from .scalars import FloatField, ParseError, RationalField
 from .tables import (ArgumentError, EntryStatus, ExtrapolationTable,
                      InitializationError)
@@ -287,6 +289,8 @@ def cmd_integrate(args) -> int:
     if args.subdivisions > MAX_SUBDIVISIONS:
         raise ArgumentError(f"--subdivisions is capped at {MAX_SUBDIVISIONS}, "
                             f"got {args.subdivisions}")
+    from .quadrature import QuadratureConfig, g_transform, make_spec
+
     spec = make_spec(args.integrand, a=args.a)
     cfg = QuadratureConfig(
         subdivisions_per_panel=args.subdivisions,
@@ -327,6 +331,8 @@ def cmd_check(args) -> int:
     if args.cases > MAX_CHECK_CASES:
         raise ArgumentError(f"check is capped at {MAX_CHECK_CASES} cases, "
                             f"got {args.cases}")
+    from .crosscheck import run_equivalence_suite
+
     report = run_equivalence_suite(L=args.L, cases=args.cases, seed=args.seed)
     doc = {
         "cases": report.cases,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gtransform import cli
+from gtransform import crosscheck
 from gtransform.cli import main
 from gtransform.crosscheck import CheckReport
 from gtransform.scalars import rational_from_text
@@ -348,7 +348,7 @@ class TestCheckCommand:
         self, monkeypatch, capsys
     ):
         report = CheckReport(cases=3, failures=["fsqd != rs at (0,1)"])
-        monkeypatch.setattr(cli, "run_equivalence_suite",
+        monkeypatch.setattr(crosscheck, "run_equivalence_suite",
                             lambda L, cases, seed: report)
         code, doc = run_json(capsys, ["check", "--L", "2"])
         assert code == 1

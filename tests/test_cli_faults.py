@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from gtransform import cli
+from gtransform import cli, quadrature
 from gtransform.cli import main
 from gtransform.engines import METHODS
 
@@ -116,15 +116,15 @@ def test_output_that_cannot_be_written_is_an_input_error(
     assert f"input error: cannot write {path}: " in captured.err
 
 
-def _refuse_work(monkeypatch, name):
+def _refuse_work(monkeypatch, module, name):
     def work(*args, **kwargs):
         raise AssertionError(f"{name} called above the cap")
 
-    monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(module, name, work)
 
 
 def test_n_max_above_the_cap_is_a_usage_error(monkeypatch, capsys):
-    _refuse_work(monkeypatch, "g_transform")
+    _refuse_work(monkeypatch, quadrature, "g_transform")
     argv = ["integrate", "--integrand", "sinc", "--x", "0",
             "--n-max", str(cli.MAX_N_MAX + 1)]
     assert main(argv) == 64
@@ -136,7 +136,7 @@ def test_n_max_above_the_cap_is_a_usage_error(monkeypatch, capsys):
 def test_subdivisions_above_the_cap_is_a_usage_error(monkeypatch, capsys):
     # cap + 1 is odd, which the Simpson rule refuses too; the message says
     # which check refused it.
-    _refuse_work(monkeypatch, "g_transform")
+    _refuse_work(monkeypatch, quadrature, "g_transform")
     argv = ["integrate", "--integrand", "sinc", "--x", "0", "--n-max", "3",
             "--subdivisions", str(cli.MAX_SUBDIVISIONS + 1)]
     assert main(argv) == 64
@@ -146,7 +146,7 @@ def test_subdivisions_above_the_cap_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_bench_L_above_the_cap_is_a_usage_error(monkeypatch, capsys):
-    _refuse_work(monkeypatch, "bench_method")
+    _refuse_work(monkeypatch, cli, "bench_method")
     argv = ["bench", "--method", "fsqd", "--L", str(cli.MAX_BENCH_L + 1)]
     assert main(argv) == 64
     captured = capsys.readouterr()

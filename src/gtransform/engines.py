@@ -33,14 +33,20 @@ Every engine update is a function from operand columns to a result
 column: the qd difference and q update, the M/N update and the final
 quotient of fsqd, rs's factor and entry, eps's step.  Each computes only
 over the zip of its operand columns, and each guard it asks judges a
-whole column in one call (structural_divisors, value_divisors, value_factors).
-Every engine builds its columns through _apply, one update call per
-column.  While the run is clean the update gets the whole columns;
-once it is not, the slot rule gives each slot with a status operand its
-status, and the update runs on the rows of the others.  The qd and
-Sylvester sweeps stay clean until exact arithmetic refuses a divisor, as
-a short u only leaves a not-computed tail (see _qd_sweep); rs and eps,
-until a column they produce holds a breakdown (see run_rs).
+whole column in one call.  A guard that scales by operands forms or
+takes them itself: the field's differences forms eps's hi - lo, rs's
+r0 - r1 and rs's bracket ratio - 1, and judges each next to its two
+operands; structural_divisors floors the qd divisor e next to its three
+summands q[j+1], q[j] and e[j+1].  value_divisors (every other divisor:
+those differences, fsqd's N, rs's c and the Sylvester divisors) and
+value_factors (rs's products) refuse only a zero.  Every engine builds
+its columns through _apply, one update call per column.  While the run
+is clean the update gets the whole columns; once it is not, the slot
+rule gives each slot with a status operand its status, and the update
+runs on the rows of the others.  The qd and Sylvester sweeps stay clean
+until exact arithmetic refuses a divisor, as a short u only leaves a
+not-computed tail (see _qd_sweep); rs and eps, until a column they
+produce holds a breakdown (see run_rs).
 """
 
 from __future__ import annotations
@@ -349,11 +355,15 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     entry (j,n) = (r[j][n] T(j+1,n-1) - r[j+1][n] T(j,n-1))
                   / (r[j][n] - r[j+1][n]).
 
-    The r and s quantities carry value information, so the field's
-    value_factors judges their brackets and products, column by column:
-    under float arithmetic one that cancels to roundoff is marked
-    breakdown at creation; exact zeros stay valid and only fail where
-    actually divided by.
+    The r and s quantities carry value information, so the field judges
+    their brackets and products, column by column: differences forms each
+    bracket ratio - 1 and, under float arithmetic, refuses one that
+    cancels to roundoff next to its operands ratio and 1; value_factors
+    refuses a zero product under float arithmetic.  A refused r or s is
+    marked breakdown at creation; exact zeros stay valid and only fail
+    where actually divided by.  The entry's divisor r[j][n] - r[j+1][n]
+    is formed by differences too, refused where it cancels next to
+    r[j][n] and r[j+1][n], and then by value_divisors where it is zero.
 
     _apply builds every column under one clean flag for s, r and the values
     (a choice for simplicity: s and r never read the values).  It holds
@@ -362,24 +372,26 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
     one = field.convert(1)
-    value_divisors, value_factors, finite = (
-        field.value_divisors, field.value_factors, field.is_finite)
+    differences, value_divisors, value_factors, finite = (
+        field.differences, field.value_divisors, field.value_factors,
+        field.is_finite)
 
     def factor(a, b, c):
         # a * (b/c - 1), the r and the s update, in three passes (the
         # ratios, the brackets, the products), each computed on the slots
-        # the field has not refused (None): it judges c, the bracket next
-        # to its operands and the product.
+        # the field has not refused (None): value_divisors judges c,
+        # differences forms and judges the bracket, value_factors the
+        # product.
         ratios = [None if den is None else y / den
                   for y, den in zip(b, value_divisors(c))]
-        brackets = value_factors([None if x is None else x - one
-                                  for x in ratios], ratios, repeat(one))
+        brackets = differences(ratios, repeat(one))
         return [BREAKDOWN if v is None else v for v in value_factors(
             [None if p is None else x * p for x, p in zip(a, brackets)])]
 
     def entry(r0, r1, t1, t0):
-        dens = value_divisors(
-            [x0 - x1 for x0, x1, _, _ in zip(r0, r1, t1, t0)], r0, r1)
+        # t1 is never longer than r0 or r1, so r0 - r1 is formed on the
+        # rows the entries fill and no other (a counting field counts it).
+        dens = value_divisors(differences(r0[:len(t1)], r1))
         return [
             BREAKDOWN if den is None
             or not finite(value := (x0 * y1 - x1 * y0) / den) else value
@@ -407,18 +419,24 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     eps[j][-1] = 0, eps[j][0] = A_j,
     eps[j][k+1] = eps[j+1][k-1] + 1/(eps[j+1][k] - eps[j][k]).
     Entry (j, n) of the result is eps[j][2n]; odd columns stay internal.
-    A vanishing difference or a value that is not finite marks the entry,
-    and every entry that depends on it, breakdown.  The columns are built
-    by _apply, clean until one holds a breakdown: the first two operand
-    columns, zeros and the raw A, hold no status.
+    The field's differences forms eps[j+1][k] - eps[j][k] and refuses it
+    where it cancels next to its two operands (under float arithmetic),
+    and value_divisors where it is zero; a refused difference or a value
+    that is not finite marks the entry, and every entry that depends on
+    it, breakdown.  The columns are built by _apply, clean until one
+    holds a breakdown: the first two operand columns, zeros and the raw
+    A, hold no status.
     """
     L = (len(A) - 1) // 2
     field, vals, _ = _input(field, L, A)
     one = field.convert(1)
-    value_divisors, finite = field.value_divisors, field.is_finite
+    differences, value_divisors, finite = (
+        field.differences, field.value_divisors, field.is_finite)
 
     def step(pv, hi, lo):
-        dens = value_divisors([x - y for _, x, y in zip(pv, hi, lo)], hi, lo)
+        # hi is never longer than pv or lo, so hi - lo is formed on the
+        # rows the step fills and no other.
+        dens = value_divisors(differences(hi, lo))
         return [
             BREAKDOWN if den is None
             or not finite(value := p + one / den) else value

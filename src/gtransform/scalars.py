@@ -6,14 +6,18 @@ every add, subtract, multiply and divide in its field's counts; to every
 other operation, and to the float field's guards, it is a plain float.
 The breakdown policy lives here and nowhere else: engines
 never test a divisor or a value themselves.  Every guard a sweep asks
-judges a whole column in one call: whether a divisor is refused
-(value_divisors) or floored (structural_divisors), or an rs factor
-cancelled to roundoff (value_factors).  ds holds one quantity per slot,
-and each column of ops one of the operands that formed it; the value
-guards keep a slot refused by an earlier guard (None) refused, without
-reading its operands, so an engine can chain them.  is_zero and
-is_finite judge single values: the input checks, and whether a value an
-engine would report is finite.
+judges a whole column in one call, and the two that judge a quantity
+next to the operands that formed it take those operands themselves:
+differences(xs, ys) forms x - y row by row and refuses (None) a
+difference cancelled to roundoff next to x and y (eps's hi - lo, rs's
+r0 - r1 and rs's bracket ratio - 1), and structural_divisors(ds, q1,
+q0, ep) floors each qd divisor d = q1 - q0 + ep next to its three
+summands.  value_divisors refuses a zero divisor (fsqd's N, rs's c, the
+Sylvester divisors and the differences above) and value_factors a zero
+rs product.  The value guards and differences keep a slot refused by an
+earlier guard (None) refused, without reading its other operand, so an
+engine can chain them.  is_zero and is_finite judge single values: the
+input checks, and whether a value an engine would report is finite.
 
 A field's convert is also the one place that turns input into numbers:
 text goes through rational_from_text, and every value it cannot represent
@@ -30,7 +34,6 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Union
 
 # Unit roundoff for double precision.  Relative negligibility threshold:
@@ -165,9 +168,10 @@ class FloatField:
 
     Structural divisors (the quotient-difference e-quantities, whose effect
     cancels between numerator tables) are floored rather than refused, so
-    the table continues through exactly-degenerate data.  Value-bearing
-    divisors and rs factors are refused (None) when negligible next to the
-    operands that produced them; a value that is not finite is never
+    the table continues through exactly-degenerate data.  A difference
+    that feeds a reported value or an rs factor is refused (None) when
+    negligible next to its two operands; value-bearing divisors and rs
+    products are refused when zero; a value that is not finite is never
     reported.
     """
 
@@ -186,44 +190,53 @@ class FloatField:
     def is_zero(self, v) -> bool:
         return v == 0.0
 
-    # Each guard computes its operand scale (the largest |o|, NaN skipped,
-    # from 0.0) inline in its own frame and judges a column row by row, as
-    # one pass over the rows costs less than a pass per operand column or
-    # a call per slot.
-    def value_divisors(self, ds, *ops) -> list:
-        """The divisors for divisions whose quotients are reported values,
-        slot by slot: d itself, or None to signal breakdown where d is
-        negligible: zero, or, given operands, at most EPS times the
-        largest of their magnitudes.  A None d stays None."""
-        if not ops:
-            return [None if d == 0.0 else d for d in ds]
+    # A guard that judges a quantity next to its operands forms the
+    # quantity itself (differences) or takes its summands as fixed
+    # columns (structural_divisors), and finds the operand scale inline:
+    # one pass over the rows, with no row tuples and no inner loop.
+    def differences(self, xs, ys) -> list:
+        """x - y row by row, or None where the difference is negligible:
+        |x - y| at most EPS times the larger of |x| and |y| (NaN skipped,
+        from 0.0), zero included.  A None x stays None; its y is not
+        read."""
         out = []
-        for d, row in zip(ds, zip(*ops)):
-            if d is None:
+        for x, y in zip(xs, ys):
+            if x is None:
                 out.append(None)
                 continue
-            scale = 0.0
-            for o in row:
-                a = abs(o)
-                if a > scale:
-                    scale = a
-            out.append(None if abs(d) <= EPS * scale else d)
+            d = x - y
+            a, b = abs(x), abs(y)
+            # Skipping a NaN operand here is moot: it makes d NaN, and a
+            # NaN d is never refused.
+            out.append(None if abs(d) <= EPS * (a if a > b else b) else d)
         return out
+
+    def value_divisors(self, ds) -> list:
+        """The divisors for divisions whose quotients are reported values,
+        slot by slot: d itself, or None to signal breakdown where d is
+        zero.  A None d stays None."""
+        return [None if d == 0.0 else d for d in ds]
 
     value_factors = value_divisors
 
-    def structural_divisors(self, ds, *ops) -> list:
-        """Safe divisors for divisions whose quotients only propagate the
-        table (never reported directly), slot by slot: d floored away from
-        zero, in its own type, to EPS times its operands' scale and at
-        least FLOOR_MIN."""
+    def structural_divisors(self, ds, q1, q0, ep) -> list:
+        """Safe divisors for the qd divisors d = q1 - q0 + ep, whose
+        quotients only propagate the table (never reported directly), slot
+        by slot: d floored away from zero, in its own type, to EPS times
+        the largest magnitude of its three summands (NaN skipped, from
+        0.0) and at least FLOOR_MIN."""
         out = []
-        for d, row in zip(ds, zip(*ops) if ops else repeat(())):
+        for d, a, b, c in zip(ds, q1, q0, ep):
             scale = 0.0
-            for o in row:
-                a = abs(o)
-                if a > scale:
-                    scale = a
+            a = abs(a)
+            if a > scale:
+                scale = a
+            b = abs(b)
+            if b > scale:
+                scale = b
+            c = abs(c)
+            if c > scale:
+                scale = c
             scaled = EPS * scale
             floor = scaled if scaled > FLOOR_MIN else FLOOR_MIN
             out.append(d if abs(d) >= floor
@@ -235,8 +248,8 @@ class RationalField:
     """Exact rational arithmetic over fractions.Fraction.
 
     Every result is normalized (reduced, positive denominator), so equality
-    is structural.  Both divisor kinds refuse exact zeros; no rs factor is
-    refused and every value is finite.
+    is structural.  Both divisor kinds refuse exact zeros; no difference
+    or rs factor is refused and every value is finite.
     """
 
     def convert(self, v: Numeric) -> Fraction:
@@ -260,12 +273,16 @@ class RationalField:
     def is_finite(v) -> bool:
         return True
 
-    def value_divisors(self, ds, *ops) -> list:
+    def differences(self, xs, ys) -> list:
+        return [None if x is None else x - y for x, y in zip(xs, ys)]
+
+    def value_divisors(self, ds) -> list:
         return [None if d == 0 else d for d in ds]
 
-    structural_divisors = value_divisors
+    def structural_divisors(self, ds, q1, q0, ep) -> list:
+        return self.value_divisors(ds)
 
-    def value_factors(self, ds, *ops) -> list:
+    def value_factors(self, ds) -> list:
         return list(ds)
 
 

@@ -221,13 +221,27 @@ def _recording_field():
     return field, calls
 
 
+# The guard calls a float engine makes per column on a run with no
+# breakdown: fsqd floors its qd divisors and judges its final N divisors;
+# eps forms and judges hi - lo at each of its 2L steps, two per column;
+# rs judges its two factors' divisors c, brackets and products, and
+# forms and judges its entry's r0 - r1.
+GUARDS_PER_COLUMN = {
+    "fsqd": {"structural_divisors": 1, "value_divisors": 1},
+    "fsqd_diag": {"structural_divisors": 1, "value_divisors": 1},
+    "eps": {"differences": 2, "value_divisors": 2},
+    "rs": {"value_divisors": 3, "differences": 3, "value_factors": 2},
+}
+
+
 @pytest.mark.parametrize("method", ["fsqd", "fsqd_diag", "rs", "eps"])
 def test_every_guard_judges_a_column(method):
     """The engines ask the field's guards once per column, never once per
-    slot: on a run with no breakdown each float engine makes between L
-    and 8L guard calls at L = 20, 40 and 150, so the count grows linearly
-    in L while a table has about L^2 slots.  No field keeps a per-slot
-    negligibility test."""
+    slot: on a run with no breakdown at L = 20, 40 and 150 each float
+    engine makes exactly GUARDS_PER_COLUMN[method] calls of each guard
+    per column (fsqd and fsqd_diag 2L in all, eps 4L, rs 8L), so the
+    count grows linearly in L while a table has about L^2 slots.  No
+    field keeps a per-slot negligibility test."""
     for make in (FloatField, CountingField, RationalField):
         assert not hasattr(make(), "is_negligible")
     rng = random.Random(26)
@@ -245,7 +259,8 @@ def test_every_guard_judges_a_column(method):
                               field=field)
         assert not any(e.status is EntryStatus.BREAKDOWN
                        for _, e in table.items())
-        assert L <= sum(calls.values()) <= 8 * L, (L, dict(calls))
+        want = {name: k * L for name, k in GUARDS_PER_COLUMN[method].items()}
+        assert dict(calls) == want, L
 
 
 B, N = EntryStatus.BREAKDOWN, EntryStatus.NOT_COMPUTED

@@ -85,12 +85,25 @@ GUARD_CASES = [
 ]
 
 
+def _summands(ops):
+    """ops as the three summands of a qd divisor: a missing one is 0.0,
+    which never raises the scale, so the rule is unchanged."""
+    return (*ops, *[0.0] * (3 - len(ops)))
+
+
 @pytest.mark.parametrize("d,ops", GUARD_CASES)
 def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
+    """Each guard answers a counting scalar as the float it holds: the
+    value guards on d, the floor on d and its summands, and differences
+    on d less each operand (0.0 without one).  Only the subtractions
+    differences forms are counted."""
     plain = FloatField()
     counting = CountingField()
     cd = counting.convert(d)
-    cops = [counting.convert(o) for o in ops]
+    summands = _summands(ops)
+    csummands = [counting.convert(o) for o in summands]
+    ys = ops or (0.0,)
+    cys = [counting.convert(y) for y in ys]
 
     def same(a, b):
         return (a is None and b is None) or (
@@ -98,19 +111,23 @@ def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
             and (a == b or (math.isnan(a) and math.isnan(b)))
         )
 
-    def column(guard, d, ops):
-        # The row as a one-slot column: each operand its own column.
-        [got] = guard([d], *[[o] for o in ops])
-        return got
-
     assert plain.is_zero(cd) == plain.is_zero(d)
-    assert same(column(plain.value_factors, cd, cops),
-                column(plain.value_factors, d, ops))
-    assert same(column(plain.value_divisors, cd, cops),
-                column(plain.value_divisors, d, ops))
-    assert same(column(plain.structural_divisors, cd, cops),
-                column(plain.structural_divisors, d, ops))
+    [got] = plain.value_factors([cd])
+    assert same(got, plain.value_factors([d])[0])
+    [got] = plain.value_divisors([cd])
+    assert same(got, plain.value_divisors([d])[0])
+    # Each summand its own one-slot column.
+    [got] = plain.structural_divisors([cd], *[[o] for o in csummands])
+    [want] = plain.structural_divisors([d], *[[o] for o in summands])
+    assert same(got, want)
     assert counting.counts.total == 0
+    got = plain.differences([cd] * len(cys), cys)
+    want = plain.differences([d] * len(ys), ys)
+    assert len(got) == len(want) == len(ys)
+    assert all(map(same, got, want))
+    assert counting.counts.as_dict() == {
+        "additions": len(ys), "multiplications": 0, "divisions": 0,
+    }
 
 
 def _floor_as_documented(d, *ops):
@@ -134,73 +151,123 @@ FLOOR_OPERANDS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=5))
+@given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=4))
 def test_structural_floor_follows_the_documented_rule(row):
     """structural_divisors equals the documented floor rule bit for bit
     and in type, for the float and the counting field, on every kind of
-    double; flooring counts nothing."""
+    double, with up to three summands given (the others 0.0); flooring
+    counts nothing."""
     counting = CountingField()
     for fld in (FloatField(), counting):
         d, *ops = [fld.convert(x) for x in row]
-        [got] = fld.structural_divisors([d], *[[o] for o in ops])
+        summands = [fld.convert(o) for o in _summands(ops)]
+        [got] = fld.structural_divisors([d], *[[o] for o in summands])
         want = _floor_as_documented(d, *ops)
         assert (type(got), got.hex()) == (type(want), want.hex())
         assert type(got) is type(d)
     assert counting.counts.total == 0
 
 
-def _negligible_as_documented(d, *ops):
-    """The negligibility rule as FloatField documents it, written out: d
-    vanishes when it is zero or, given operands, when |d| is at most EPS
-    times the largest operand magnitude (NaN ignored, starting from 0)."""
-    scale = max([0.0] + [abs(o) for o in ops if not math.isnan(o)])
-    return d == 0 or (len(ops) > 0 and abs(d) <= EPS * scale)
+def _difference_as_documented(x, y):
+    """The difference rule as FloatField documents it, written out: x - y,
+    or None where |x - y| is at most EPS times the larger of |x| and |y|
+    (NaN ignored, starting from 0), a zero difference included."""
+    x, y = float(x), float(y)
+    d = x - y
+    scale = max([0.0] + [abs(o) for o in (x, y) if not math.isnan(o)])
+    return None if abs(d) <= EPS * scale else d
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=5))
-# A leading NaN operand must not hide the others' scale, and a divisor
-# exactly EPS times the scale is negligible.
-@example([5e-324, math.nan, 1.0])
-@example([EPS, 1.0])
-def test_negligible_and_value_divisor_follow_the_documented_rule(row):
-    """value_factors and value_divisors return d itself where the
-    documented negligibility rule does not hold and None where it does,
-    for the float and the counting field, on every kind of double; the
-    exact field returns every slot unchanged, an exact 0 included; the
-    guards count nothing."""
+@given(FLOOR_OPERANDS)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+def test_negligible_and_value_divisor_follow_the_documented_rule(d):
+    """value_factors and value_divisors return d itself unless it is
+    zero, and None where it is, for the float and the counting field, on
+    every kind of double (their operand rule moved to differences); the
+    exact field's value_factors returns every slot unchanged, an exact 0
+    included; the guards count nothing."""
     counting = CountingField()
     for fld in (FloatField(), counting):
-        d, *ops = [fld.convert(x) for x in row]
-        negligible = _negligible_as_documented(d, *ops)
+        cd = fld.convert(d)
         for guard in (fld.value_factors, fld.value_divisors):
-            [got] = guard([d], *[[o] for o in ops])
-            assert got is (None if negligible else d)
+            [got] = guard([cd])
+            assert got is (None if d == 0 else cd)
     assert counting.counts.total == 0
     exact = RationalField()
-    finite = [Fraction(x) for x in row if math.isfinite(x)]
-    column = [Fraction(0), *finite]
-    got = exact.value_factors(column, column, column)
+    column = [Fraction(0), *([Fraction(d)] if math.isfinite(d) else [])]
+    got = exact.value_factors(column)
     assert len(got) == len(column) and all(map(operator.is_, got, column))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FLOOR_OPERANDS, FLOOR_OPERANDS), max_size=8),
+       st.lists(st.booleans(), max_size=8))
+# A difference exactly EPS times the scale is refused, one ulp more is
+# kept; a difference of subnormals next to a zero operand, an exact
+# zero, cancelling infinities and a NaN operand on either side.
+@example([(1.0, 1.0 - EPS), (1.0, 1.0 - 2 * EPS), (5e-324, 0.0),
+          (-0.0, 0.0), (math.inf, math.inf), (math.inf, 1.0),
+          (math.nan, 1.0), (1.0, math.nan)], [False, True])
+def test_differences_follow_the_documented_rule(rows, refused):
+    """differences returns x - y, or None where the documented rule finds
+    it cancelled, row by row, bit for bit and in type, for the float and
+    the counting field, on every kind of double.  A None x stays None and
+    its y is not read (here y is None too).  The counting field tallies
+    one addition per row it computes and none for a None row.  The exact
+    field refuses no difference, an exact zero included."""
+    nones = [i for i, r in enumerate(refused[:len(rows)]) if r]
+    counting = CountingField()
+    for fld in (FloatField(), counting):
+        xs = [fld.convert(x) for x, _ in rows]
+        ys = [fld.convert(y) for _, y in rows]
+        for i in nones:
+            xs[i] = ys[i] = None
+        got = fld.differences(xs, ys)
+        assert len(got) == len(rows)
+        for x, y, g in zip(xs, ys, got):
+            if x is None:
+                assert g is None
+                continue
+            want = _difference_as_documented(x, y)
+            if want is None:
+                assert g is None
+            else:
+                assert (type(g), g.hex()) == (type(x), want.hex())
+    assert counting.counts.as_dict() == {
+        "additions": len(rows) - len(nones), "multiplications": 0,
+        "divisions": 0,
+    }
+    exact = RationalField()
+    finite = [(Fraction(x), Fraction(y)) for x, y in rows
+              if math.isfinite(x) and math.isfinite(y)]
+    xs = [Fraction(1), None, *(x for x, _ in finite)]
+    ys = [Fraction(1), None, *(y for _, y in finite)]
+    assert exact.differences(xs, ys) == [
+        Fraction(0), None, *(x - y for x, y in finite)]
 
 
 @pytest.mark.parametrize("make", [FloatField, CountingField, RationalField])
 def test_value_guards_keep_a_refused_slot_refused(make):
     """A slot an earlier guard refused (None) stays None through both
-    value guards, with or without operands, and its operands (None too)
-    are not read; the other slots are judged as usual."""
+    value guards and through differences, whose y of that row (None too)
+    is not read; the other slots are judged as usual."""
     fld = make()
     one, zero = fld.convert(1), fld.convert(0)
     # The exact field refuses no factor, not even an exact zero.
     for guard, kept in ((fld.value_divisors, False),
                         (fld.value_factors, make is RationalField)):
         assert guard([None, one]) == [None, one]
-        got = guard([None, one, zero], [None, one, one])
-        assert got == [None, one, zero if kept else None]
+        assert guard([None, one, zero]) == [None, one, zero if kept else None]
+    # The exact field refuses no difference; the float one refuses 1 - 1.
+    got = fld.differences([None, one, one], [None, zero, one])
+    assert got == [None, one, zero if make is RationalField else None]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=4).flatmap(
+@given(st.integers(min_value=0, max_value=3).flatmap(
     lambda arity: st.lists(st.lists(FLOOR_OPERANDS, min_size=arity + 1,
                                     max_size=arity + 1),
                            min_size=1, max_size=8)))
@@ -209,25 +276,37 @@ def test_value_guards_keep_a_refused_slot_refused(make):
 @example([[0.0, 1.0], [1e-300, 2.0], [0.5, 3.0], [5e-324, 0.0],
           [math.nan, 1.0], [-EPS, 1.0]])
 def test_column_guards_judge_each_slot_by_its_own_operands(rows):
-    """A column of several divisors, each with its own operands, gets slot
-    for slot what the documented rules give each row alone: floored,
-    refused and kept slots side by side.  The counting field keeps its
-    scalar type in every slot it returns, floored ones included, and
-    judging the columns counts nothing."""
+    """A column of several quantities, each with its own operands (up to
+    three, the others 0.0), gets slot for slot what the documented rules
+    give each row alone: the floor of d next to its summands, d refused
+    where it is zero, and d less its first operand refused where it
+    cancels; floored, refused and kept slots side by side.  The counting
+    field keeps its scalar type in every slot it returns, floored ones
+    included; the guards count nothing and differences one addition per
+    row."""
     counting = CountingField()
     for fld in (FloatField(), counting):
-        converted = [[fld.convert(x) for x in row] for row in rows]
-        ds, *ops = (list(col) for col in zip(*converted))
-        kept = fld.value_divisors(ds, *ops)
-        floored = fld.structural_divisors(ds, *ops)
-        assert len(kept) == len(floored) == len(rows)
-        for (d, *row_ops), k, f in zip(converted, kept, floored):
-            want = None if _negligible_as_documented(d, *row_ops) else d
-            assert k is want
+        converted = [[fld.convert(x) for x in (row[0], *_summands(row[1:]))]
+                     for row in rows]
+        ds, *summands = (list(col) for col in zip(*converted))
+        kept = fld.value_divisors(ds)
+        floored = fld.structural_divisors(ds, *summands)
+        assert counting.counts.total == 0
+        diffs = fld.differences(ds, summands[0])
+        assert len(kept) == len(floored) == len(diffs) == len(rows)
+        for d, *row_ops, k, f, x in zip(ds, *summands, kept, floored, diffs):
+            assert k is (None if d == 0 else d)
             want = _floor_as_documented(d, *row_ops)
             assert (type(f), f.hex()) == (type(want), want.hex())
             assert type(f) is type(d)
-    assert counting.counts.total == 0
+            want = _difference_as_documented(d, row_ops[0])
+            if want is None:
+                assert x is None
+            else:
+                assert (type(x), x.hex()) == (type(d), want.hex())
+    assert counting.counts.as_dict() == {
+        "additions": len(rows), "multiplications": 0, "divisions": 0,
+    }
 
 
 def test_infer_field_picks_the_float_field():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -147,15 +148,20 @@ def test_counting_matches_plain_floats_bitwise():
 
 class TestFloatField:
     def test_value_divisor_rejects_negligible(self):
+        # The engines' chain: a difference of big operands is refused
+        # when it vanishes or cancels to one ulp of big, kept otherwise.
         fld = FloatField()
         big = 1e10
-        kept = fld.value_divisors([0.0, big * EPS / 2, 1e-3], [big] * 3)
+        ys = [big, math.nextafter(big, 0.0), big - 1e-3]
+        kept = fld.value_divisors(fld.differences([big] * 3, ys))
+        assert big - ys[1] <= big * EPS
         assert kept[:2] == [None, None]
         assert kept[2] is not None
 
     def test_structural_divisor_never_none(self):
         fld = FloatField()
-        d, d_neg = fld.structural_divisors([0.0, -1e-300], [1.0, 1.0])
+        d, d_neg = fld.structural_divisors([0.0, -1e-300], [1.0, 1.0],
+                                           [0.0, 0.0], [0.0, 0.0])
         assert d is not None and d > 0
         # sign preserved for negative near-zeros
         assert d_neg < 0
@@ -164,7 +170,7 @@ class TestFloatField:
         # cascaded degenerate operands must not drive the floor to the
         # subnormal range, else later quotients overflow
         fld = FloatField()
-        [d] = fld.structural_divisors([0.0], [0.0])
+        [d] = fld.structural_divisors([0.0], [0.0], [0.0], [0.0])
         assert abs(d) >= EPS * EPS
 
     def test_convert_accepts_rational_strings(self):
@@ -177,8 +183,10 @@ class TestRationalFieldDivisors:
     def test_zero_is_the_only_breakdown(self):
         fld = RationalField()
         tiny = Fraction(1, 10**40)
-        for guard in (fld.value_divisors, fld.structural_divisors):
-            assert guard([Fraction(0), tiny], [Fraction(1)] * 2) == [None, tiny]
+        one = [Fraction(1)] * 2
+        assert fld.value_divisors([Fraction(0), tiny]) == [None, tiny]
+        assert fld.structural_divisors(
+            [Fraction(0), tiny], one, one, one) == [None, tiny]
 
     def test_convert_reads_decimal_floats_exactly(self):
         fld = RationalField()

@@ -39,14 +39,14 @@ r0 - r1 and rs's bracket ratio - 1, and judges each next to its two
 operands; structural_divisors floors the qd divisor e next to its three
 summands q[j+1], q[j] and e[j+1].  value_divisors (every other divisor:
 those differences, fsqd's N, rs's c and the Sylvester divisors) and
-value_factors (rs's products) refuse only a zero.  Every engine builds
-its columns through _apply, one update call per column.  While the run
-is clean the update gets the whole columns; once it is not, the slot
-rule gives each slot with a status operand its status, and the update
-runs on the rows of the others.  The qd and Sylvester sweeps stay clean
-until exact arithmetic refuses a divisor, as a short u only leaves a
-not-computed tail (see _qd_sweep); rs and eps, until a column they
-produce holds a breakdown (see run_rs).
+value_factors (rs's products) refuse only a zero.  Every sweep that
+can hold a status (qd, Sylvester, rs, eps) builds its columns through
+_apply, one update call per column.  While the run is clean the update
+gets the whole columns; once it is not, the slot rule gives each slot
+with a status operand its status, and the update runs on the rows of
+the others.  The qd and Sylvester sweeps stay clean until exact
+arithmetic refuses a divisor (see _qd_sweep); rs and eps, until a column
+they produce holds a breakdown.  The float FS sweep holds values only.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _apply(f, clean, *cols) -> list:
 
 
 def _qd_sweep(u, L: int, field):
-    """Columns (q_n, e_n, d_n, clean), n = 0..L, of the quotient-difference
+    """Columns (q_n, e_n, d_n), n = 0..L, of the quotient-difference
     recursion over converted u_0..u_2L.
 
     e[j][0] = 0; q[j][1] = u_{j+1}/u_j; then
@@ -167,18 +167,18 @@ def _qd_sweep(u, L: int, field):
     scaled by the operands that formed it: None where the guard refuses a
     slot, e's own status where e has no value.  q_0 and d_0 are empty.
 
-    Until the guard refuses a divisor, clean holds: no slot has broken
-    down, and the not-computed slots a short u leaves are each column's
-    tail.  A clean column is held without that tail, which _pad restores
-    where the column is read, so _apply hands the updates values alone.
-    A refused divisor (only exact arithmetic refuses one) ends clean: from
-    then on the columns are held at full length and swept by the slot
-    rule.
+    Until the guard refuses a divisor, the sweep is clean: no slot has
+    broken down, and the not-computed slots a short u leaves are each
+    column's tail.  A clean column is held without that tail, which _pad
+    restores where the column is read, so _apply hands the updates values
+    alone.  A refused divisor (only exact arithmetic refuses one, in
+    build_qd_table) ends clean: from then on the columns are held at full
+    length and swept by the slot rule.
     """
     q = [u1 / u0 for u1, u0 in zip(u[1:], u)]
     e = [field.convert(0)] * (2 * L + 1)
     clean = True
-    yield [], e, [], clean
+    yield [], e, []
     for n in range(1, L + 1):
         ops = q[1:], q, e[1:]
         e = _apply(_qd_difference, clean, *ops)
@@ -187,12 +187,12 @@ def _qd_sweep(u, L: int, field):
             clean = False
             size = 2 * (L - n) + 1
             q, e, d = _pad(q, size + 1), _pad(e, size), _pad(d, size)
-        yield q, e, d, clean
+        yield q, e, d
         q = _apply(_ratio_step, clean, e[1:], d, q[1:])
 
 
-# The qd and M/N updates, column by column; an entry whose divisor was
-# refused (None) breaks down.
+# The qd and M/N updates, column by column; a q entry whose divisor was
+# refused (None) breaks down.  The M/N sweep never meets one.
 def _qd_difference(q1, q0, ep):
     return [a - b + c for a, b, c in zip(q1, q0, ep)]
 
@@ -203,8 +203,7 @@ def _ratio_step(e1, d, q1):
 
 
 def _difference_step(x1, x0, d):
-    return [BREAKDOWN if den is None else (a - b) / den
-            for a, b, den in zip(x1, x0, d)]
+    return [(a - b) / den for a, b, den in zip(x1, x0, d)]
 
 
 def build_qd_table(u, L: int, field=None) -> QdTable:
@@ -214,7 +213,7 @@ def build_qd_table(u, L: int, field=None) -> QdTable:
     error."""
     field, _, u = _input(field, L, (), u)
     q_cols, e_cols = [], []
-    for n, (q, e, _, _) in enumerate(_qd_sweep(u, L, field)):
+    for n, (q, e, _) in enumerate(_qd_sweep(u, L, field)):
         q_cols.append(_pad(q, 2 * (L - n) + 2) if n else q)
         e_cols.append(_pad(e, 2 * (L - n) + 1))
     return QdTable(q_cols, e_cols)
@@ -254,24 +253,22 @@ def _det_step(a, b, c, e, d):
 
 
 def _fs_sweep(A, u, L: int, field):
-    """Columns (M_n, N_n, clean), n = 0..L, of the FS recursion over
-    converted A and u: M_0[j] = A_j/u_j, N_0[j] = 1/u_j, and
+    """Columns (M_n, N_n), n = 0..L, of the FS recursion over converted A
+    and u: M_0[j] = A_j/u_j, N_0[j] = 1/u_j, and
     M_n[j] = (M_{n-1}[j+1] - M_{n-1}[j]) / d_n[j], N_n likewise, with d_n
-    and clean from _qd_sweep.  Each N slot has the status of its M slot.
-    While clean, M_n and N_n are held without their not-computed tail, as
-    the qd columns are; after, at their full length L+1-n."""
+    from _qd_sweep.  Precondition: the field never refuses a qd divisor,
+    as the float fields, the only ones run_fs_qd runs this sweep on,
+    floor every one.  So every slot holds a value, and a column is held
+    without the not-computed tail a short u leaves, as the qd columns
+    are."""
     one = field.convert(1)
     M = [a / x for a, x in zip(A, u)]
     N = [one / x for x in u[:len(A)]]
-    sweep = _qd_sweep(u, L, field)
-    *_, clean = next(sweep)
-    yield M, N, clean
-    for n, (_, _, d, clean) in enumerate(sweep, 1):
-        if not clean:
-            M, N = _pad(M, L + 2 - n), _pad(N, L + 2 - n)
-        M = _apply(_difference_step, clean, M[1:], M, d)
-        N = _apply(_difference_step, clean, N[1:], N, d)
-        yield M, N, clean
+    yield M, N
+    for _, _, d in islice(_qd_sweep(u, L, field), 1, None):
+        M = _difference_step(M[1:], M, d)
+        N = _difference_step(N[1:], N, d)
+        yield M, N
 
 
 def _fraction_free_columns(A, u, L: int, field, diagonal_only: bool):
@@ -310,10 +307,12 @@ def run_fs_qd(
 ) -> ExtrapolationTable:
     """The paired-numerator FS recursion (_fs_sweep) with divisors
     supplied by the quotient-difference table; entry (j,n) is
-    M[j][n]/N[j][n].  With diagonal_only the final division is performed
-    only for j = 0, which drops the division count from 5L^2/2 + O(L) to
-    2L^2 + O(L); off-diagonal entries beyond column 0 are then not
-    computed.
+    M[j][n]/N[j][n].  The sweep holds values only, so each column's
+    quotients are formed in one call; an entry breaks down where N is
+    zero or a value is not finite.  With diagonal_only the final
+    division is performed only for j = 0, which drops the division count
+    from 5L^2/2 + O(L) to 2L^2 + O(L); off-diagonal entries beyond
+    column 0 are then not computed.
 
     Over exact rationals the table is computed fraction-free on integer
     determinants instead (_fraction_free_columns): an entry breaks down
@@ -339,9 +338,9 @@ def run_fs_qd(
         ]
 
     columns = [_settled(A, field)]
-    for M, N, clean in islice(_fs_sweep(A, u, L, field), 1, None):
+    for M, N in islice(_fs_sweep(A, u, L, field), 1, None):
         width = 1 if diagonal_only else len(M)
-        columns.append(_pad(_apply(quotients, clean, M[:width], N[:width]),
+        columns.append(_pad(quotients(M[:width], N[:width]),
                             len(columns[-1]) - 1))
     return ExtrapolationTable(method, columns)
 

@@ -95,6 +95,43 @@ def test_no_valid_entry_is_non_finite(case):
                 )
 
 
+# Doubles of every kind a float sweep can meet: subnormals, values near
+# the ends of the double range, infinities and NaN; A alone may hold -0.0
+# (u holds no zero).
+EXTREMES = st.one_of(
+    MAGNITUDES,
+    st.floats(allow_nan=True, allow_infinity=True).filter(bool),
+    st.sampled_from((5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                     -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda L: st.tuples(
+        st.just(L),
+        st.lists(st.one_of(EXTREMES, st.just(-0.0)),
+                 min_size=L + 1, max_size=L + 1),
+        st.lists(EXTREMES, max_size=2 * L + 1),
+    )
+))
+def test_float_fs_sweep_holds_values_only(case):
+    """The precondition of engines._fs_sweep: under FloatField and
+    CountingField the qd sweep never yields a refused (None) divisor, as
+    structural_divisors floors every one, so the FS sweep yields a value
+    in every slot and raises nothing, on any doubles and any u length."""
+    L, A, u = case
+    for field in (FloatField(), CountingField()):
+        A_, u_ = [field.convert(x) for x in A], [field.convert(x) for x in u]
+        for _, _, d in engines._qd_sweep(u_, L, field):
+            assert all(isinstance(x, float) for x in d), d
+        columns = list(engines._fs_sweep(A_, u_, L, field))
+        assert len(columns) == L + 1
+        for M, N in columns:
+            assert all(isinstance(x, float) for x in M + N), (M, N)
+
+
 def _slot_rule_case(rng: random.Random):
     """(L, A, u, E): random, degenerate (repeated or geometric u, a value
     of A and E not finite, u near 1e+300 or 1e-300, A near the double

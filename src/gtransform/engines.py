@@ -6,7 +6,7 @@ rule: an entry breaks down when an operand has broken down, when the field
 refuses its divisor, or when the value it would report is not finite; an
 entry with an operand not computed (and none broken down) is not
 computed.  The field (.scalars) decides whether a divisor is refused or
-floored, an rs factor cancelled or a value finite; an engine never does.
+floored, an rs factor broken down or a value finite; an engine never does.
 Under float arithmetic the divisors that only propagate the
 quotient-difference table are floored rather than refused, because their
 size is a gauge choice that cancels between the paired numerator and
@@ -32,14 +32,14 @@ is zero; the qd sweep serves build_qd_table and the other fields.
 Every engine update is a function from operand columns to a result
 column: the qd difference and q update, the M/N update and the final
 quotient of fsqd, rs's factor and entry, eps's step.  Each computes only
-over the zip of its operand columns, and each guard it asks judges a
-whole column in one call.  A guard that scales by operands forms or
-takes them itself: the field's differences forms eps's hi - lo, rs's
-r0 - r1 and rs's bracket ratio - 1, and judges each next to its two
-operands; structural_divisors floors the qd divisor e next to its three
-summands q[j+1], q[j] and e[j+1].  value_divisors (every other divisor:
-those differences, fsqd's N, rs's c and the Sylvester divisors) and
-value_factors (rs's products) refuse only a zero.  Every sweep that
+over the zip of its operand columns, and each quantity it judges is one
+guard call per column, never a chain of guards.  A guard that scales by
+operands forms or takes them itself: the field's differences forms the
+divisors eps's hi - lo and rs's r0 - r1 and judges each next to its two
+operands; factors forms rs's factor a * (b/c - 1) and judges its bracket
+and its product; structural_divisors floors the qd divisor e next to
+its three summands q[j+1], q[j] and e[j+1].  value_divisors (fsqd's N
+and the Sylvester divisors) refuses only a zero.  Every sweep that
 can hold a status (qd, Sylvester, rs, eps) builds its columns through
 _apply, one update call per column.  While the run is clean the update
 gets the whole columns; once it is not, the slot rule gives each slot
@@ -354,15 +354,15 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     entry (j,n) = (r[j][n] T(j+1,n-1) - r[j+1][n] T(j,n-1))
                   / (r[j][n] - r[j+1][n]).
 
-    The r and s quantities carry value information, so the field judges
-    their brackets and products, column by column: differences forms each
-    bracket ratio - 1 and, under float arithmetic, refuses one that
-    cancels to roundoff next to its operands ratio and 1; value_factors
-    refuses a zero product under float arithmetic.  A refused r or s is
-    marked breakdown at creation; exact zeros stay valid and only fail
-    where actually divided by.  The entry's divisor r[j][n] - r[j+1][n]
-    is formed by differences too, refused where it cancels next to
-    r[j][n] and r[j+1][n], and then by value_divisors where it is zero.
+    The r and s quantities carry value information, so the field forms
+    and judges each factor a * (b/c - 1), column by column, in one call
+    of its factors: under float arithmetic it refuses a bracket b/c - 1
+    that cancels to roundoff next to b/c and 1, and a zero product; under
+    exact arithmetic only a zero c.  A refused r or s is marked breakdown
+    at creation; exact zeros stay valid and only fail where actually
+    divided by.  The entry's divisor r[j][n] - r[j+1][n] is formed by the
+    field's differences, refused where it cancels next to r[j][n] and
+    r[j+1][n] (float) or is zero (exact).
 
     _apply builds every column under one clean flag for s, r and the values
     (a choice for simplicity: s and r never read the values).  It holds
@@ -371,26 +371,17 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
     one = field.convert(1)
-    differences, value_divisors, value_factors, finite = (
-        field.differences, field.value_divisors, field.value_factors,
-        field.is_finite)
+    differences, factors, finite = (
+        field.differences, field.factors, field.is_finite)
 
     def factor(a, b, c):
-        # a * (b/c - 1), the r and the s update, in three passes (the
-        # ratios, the brackets, the products), each computed on the slots
-        # the field has not refused (None): value_divisors judges c,
-        # differences forms and judges the bracket, value_factors the
-        # product.
-        ratios = [None if den is None else y / den
-                  for y, den in zip(b, value_divisors(c))]
-        brackets = differences(ratios, repeat(one))
-        return [BREAKDOWN if v is None else v for v in value_factors(
-            [None if p is None else x * p for x, p in zip(a, brackets)])]
+        # a * (b/c - 1): the r and the s update.
+        return [BREAKDOWN if v is None else v for v in factors(a, b, c)]
 
     def entry(r0, r1, t1, t0):
         # t1 is never longer than r0 or r1, so r0 - r1 is formed on the
         # rows the entries fill and no other (a counting field counts it).
-        dens = value_divisors(differences(r0[:len(t1)], r1))
+        dens = differences(r0[:len(t1)], r1)
         return [
             BREAKDOWN if den is None
             or not finite(value := (x0 * y1 - x1 * y0) / den) else value
@@ -419,23 +410,21 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     eps[j][k+1] = eps[j+1][k-1] + 1/(eps[j+1][k] - eps[j][k]).
     Entry (j, n) of the result is eps[j][2n]; odd columns stay internal.
     The field's differences forms eps[j+1][k] - eps[j][k] and refuses it
-    where it cancels next to its two operands (under float arithmetic),
-    and value_divisors where it is zero; a refused difference or a value
-    that is not finite marks the entry, and every entry that depends on
-    it, breakdown.  The columns are built by _apply, clean until one
+    where it cancels next to its two operands (under float arithmetic) or
+    is zero (exact); a refused difference or a value that is not finite
+    marks the entry, and every entry that depends on it, breakdown.  The columns are built by _apply, clean until one
     holds a breakdown: the first two operand columns, zeros and the raw
     A, hold no status.
     """
     L = (len(A) - 1) // 2
     field, vals, _ = _input(field, L, A)
     one = field.convert(1)
-    differences, value_divisors, finite = (
-        field.differences, field.value_divisors, field.is_finite)
+    differences, finite = field.differences, field.is_finite
 
     def step(pv, hi, lo):
         # hi is never longer than pv or lo, so hi - lo is formed on the
         # rows the step fills and no other.
-        dens = value_divisors(differences(hi, lo))
+        dens = differences(hi, lo)
         return [
             BREAKDOWN if den is None
             or not finite(value := p + one / den) else value

@@ -4,20 +4,19 @@ Three realizations share one small protocol: plain machine doubles, exact
 rationals, and counting doubles.  A counting scalar is a float that tallies
 every add, subtract, multiply and divide in its field's counts; to every
 other operation, and to the float field's guards, it is a plain float.
-The breakdown policy lives here and nowhere else: engines
-never test a divisor or a value themselves.  Every guard a sweep asks
-judges a whole column in one call, and the two that judge a quantity
-next to the operands that formed it take those operands themselves:
-differences(xs, ys) forms x - y row by row and refuses (None) a
-difference cancelled to roundoff next to x and y (eps's hi - lo, rs's
-r0 - r1 and rs's bracket ratio - 1), and structural_divisors(ds, q1,
-q0, ep) floors each qd divisor d = q1 - q0 + ep next to its three
-summands.  value_divisors refuses a zero divisor (fsqd's N, rs's c, the
-Sylvester divisors and the differences above) and value_factors a zero
-rs product.  The value guards and differences keep a slot refused by an
-earlier guard (None) refused, without reading its other operand, so an
-engine can chain them.  is_zero and is_finite judge single values: the
-input checks, and whether a value an engine would report is finite.
+The breakdown policy lives here and nowhere else: engines never test a
+divisor or a value themselves.  Every quantity a sweep judges is one
+guard call per column, and a guard that judges a quantity next to the
+operands that formed it forms the quantity itself or takes those
+operands.  differences(xs, ys) forms the divisors x - y (eps's hi - lo,
+rs's r0 - r1) row by row and refuses (None) one that vanishes as the
+field judges it; factors(xs, ys, cs) forms rs's factor x * (y/c - 1) and
+refuses one that breaks down (a vanished bracket or a zero product in
+float arithmetic, a zero c in exact); structural_divisors(ds, q1, q0,
+ep) floors each qd divisor d = q1 - q0 + ep next to its three summands.
+value_divisors refuses a zero divisor (fsqd's N and the Sylvester
+divisors).  is_zero and is_finite judge single values: the input
+checks, and whether a value an engine would report is finite.
 
 A field's convert is also the one place that turns input into numbers:
 text goes through rational_from_text, and every value it cannot represent
@@ -34,6 +33,7 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Union
 
 # Unit roundoff for double precision.  Relative negligibility threshold:
@@ -169,9 +169,9 @@ class FloatField:
     Structural divisors (the quotient-difference e-quantities, whose effect
     cancels between numerator tables) are floored rather than refused, so
     the table continues through exactly-degenerate data.  A difference
-    that feeds a reported value or an rs factor is refused (None) when
-    negligible next to its two operands; value-bearing divisors and rs
-    products are refused when zero; a value that is not finite is never
+    divisor, and the bracket of an rs factor, is refused (None) when
+    negligible next to its two operands; fsqd's final divisors N and rs
+    factors are refused when zero; a value that is not finite is never
     reported.
     """
 
@@ -191,19 +191,15 @@ class FloatField:
         return v == 0.0
 
     # A guard that judges a quantity next to its operands forms the
-    # quantity itself (differences) or takes its summands as fixed
-    # columns (structural_divisors), and finds the operand scale inline:
-    # one pass over the rows, with no row tuples and no inner loop.
+    # quantity itself (differences, factors) or takes its summands as
+    # fixed columns (structural_divisors), and finds the operand scale
+    # inline: one pass over the rows, with no row tuples and no inner loop.
     def differences(self, xs, ys) -> list:
         """x - y row by row, or None where the difference is negligible:
         |x - y| at most EPS times the larger of |x| and |y| (NaN skipped,
-        from 0.0), zero included.  A None x stays None; its y is not
-        read."""
+        from 0.0), zero included."""
         out = []
         for x, y in zip(xs, ys):
-            if x is None:
-                out.append(None)
-                continue
             d = x - y
             a, b = abs(x), abs(y)
             # Skipping a NaN operand here is moot: it makes d NaN, and a
@@ -214,10 +210,20 @@ class FloatField:
     def value_divisors(self, ds) -> list:
         """The divisors for divisions whose quotients are reported values,
         slot by slot: d itself, or None to signal breakdown where d is
-        zero.  A None d stays None."""
+        zero."""
         return [None if d == 0.0 else d for d in ds]
 
-    value_factors = value_divisors
+    def factors(self, xs, ys, cs) -> list:
+        """rs's factor x * (y/c - 1) row by row, or None where its bracket
+        y/c - 1 is negligible next to y/c and 1 (differences' rule) or
+        where the product is zero, an underflow included.  c is not
+        tested: in rs every c is a u value (no zero), s's first column
+        (1) or a factor this guard did not refuse."""
+        one = self.convert(1)
+        brackets = self.differences([y / c for y, c in zip(ys, cs)],
+                                    repeat(one))
+        return [None if b is None or (p := x * b) == 0.0 else p
+                for x, b in zip(xs, brackets)]
 
     def structural_divisors(self, ds, q1, q0, ep) -> list:
         """Safe divisors for the qd divisors d = q1 - q0 + ep, whose
@@ -248,8 +254,9 @@ class RationalField:
     """Exact rational arithmetic over fractions.Fraction.
 
     Every result is normalized (reduced, positive denominator), so equality
-    is structural.  Both divisor kinds refuse exact zeros; no difference
-    or rs factor is refused and every value is finite.
+    is structural.  Every divisor kind refuses an exact zero, a
+    difference included; rs's factor is refused only where its c is zero,
+    so an exact zero factor stays a value; every value is finite.
     """
 
     def convert(self, v: Numeric) -> Fraction:
@@ -274,7 +281,7 @@ class RationalField:
         return True
 
     def differences(self, xs, ys) -> list:
-        return [None if x is None else x - y for x, y in zip(xs, ys)]
+        return [None if (d := x - y) == 0 else d for x, y in zip(xs, ys)]
 
     def value_divisors(self, ds) -> list:
         return [None if d == 0 else d for d in ds]
@@ -282,8 +289,9 @@ class RationalField:
     def structural_divisors(self, ds, q1, q0, ep) -> list:
         return self.value_divisors(ds)
 
-    def value_factors(self, ds) -> list:
-        return list(ds)
+    def factors(self, xs, ys, cs) -> list:
+        return [None if c == 0 else x * (y / c - 1)
+                for x, y, c in zip(xs, ys, cs)]
 
 
 class CountingField(FloatField):

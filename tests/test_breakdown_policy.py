@@ -132,6 +132,39 @@ def test_float_fs_sweep_holds_values_only(case):
             assert all(isinstance(x, float) for x in M + N), (M, N)
 
 
+# Small multiples of the least subnormal, where a product of a factor
+# underflows to zero.
+SUBNORMAL_MULTIPLES = st.builds(
+    lambda k: k * 5e-324, st.integers(min_value=-8, max_value=8).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+# r[0][2] = u_1 * (s[1][1]/s[0][1] - 1) = 2.5e-323 * (-2.2/-2.25 - 1)
+# underflows to 0.0, and is refused.
+@example((1, [-0.0, 2.0], [-2e-323, 2.5e-323, -3e-323]))
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda L: st.tuples(
+        st.just(L),
+        st.lists(st.one_of(EXTREMES, st.just(-0.0)),
+                 min_size=L + 1, max_size=L + 1),
+        st.sampled_from((EXTREMES, SUBNORMAL_MULTIPLES)).flatmap(
+            lambda kind: st.lists(kind, max_size=2 * L + 1)),
+    )
+))
+def test_float_rs_factors_are_never_zero(case):
+    """Why the float fields' factors make no test on c: under FloatField
+    and CountingField every valued r and s slot is nonzero (u holds no
+    zero, s's first column is 1, and factors refuses a zero product), so
+    no factor divides by zero and run_rs raises nothing, on any doubles
+    and any u length."""
+    L, A, u = case
+    for field in (FloatField(), CountingField()):
+        rs, _ = run_rs(SequencePair(A=A, u=u, L=L), field=field)
+        for col in rs.r.columns + rs.s.columns:
+            assert not any(isinstance(x, float) and x == 0.0 for x in col), \
+                col
+
+
 def _slot_rule_case(rng: random.Random):
     """(L, A, u, E): random, degenerate (repeated or geometric u, a value
     of A and E not finite, u near 1e+300 or 1e-300, A near the double
@@ -252,7 +285,8 @@ def _recording_field():
     guards = [name for name, attr in vars(FloatField).items()
               if callable(attr) and not name.startswith("_")
               and name not in PER_VALUE]
-    assert {"value_divisors", "structural_divisors"} <= set(guards)
+    assert set(guards) == {"differences", "factors", "structural_divisors",
+                           "value_divisors"}
     field = type("RecordingField", (FloatField,),
                  {name: recorder(name) for name in guards})()
     return field, calls
@@ -261,13 +295,14 @@ def _recording_field():
 # The guard calls a float engine makes per column on a run with no
 # breakdown: fsqd floors its qd divisors and judges its final N divisors;
 # eps forms and judges hi - lo at each of its 2L steps, two per column;
-# rs judges its two factors' divisors c, brackets and products, and
-# forms and judges its entry's r0 - r1.
+# rs forms and judges its two factors, each of which passes its brackets
+# to differences, and forms and judges its entry's r0 - r1.  Each
+# quantity is one engine call: fsqd 2, eps 2 and rs 3 per column.
 GUARDS_PER_COLUMN = {
     "fsqd": {"structural_divisors": 1, "value_divisors": 1},
     "fsqd_diag": {"structural_divisors": 1, "value_divisors": 1},
-    "eps": {"differences": 2, "value_divisors": 2},
-    "rs": {"value_divisors": 3, "differences": 3, "value_factors": 2},
+    "eps": {"differences": 2},
+    "rs": {"factors": 2, "differences": 3},
 }
 
 
@@ -276,11 +311,13 @@ def test_every_guard_judges_a_column(method):
     """The engines ask the field's guards once per column, never once per
     slot: on a run with no breakdown at L = 20, 40 and 150 each float
     engine makes exactly GUARDS_PER_COLUMN[method] calls of each guard
-    per column (fsqd and fsqd_diag 2L in all, eps 4L, rs 8L), so the
+    per column (fsqd and fsqd_diag 2L in all, eps 2L, rs 5L), so the
     count grows linearly in L while a table has about L^2 slots.  No
-    field keeps a per-slot negligibility test."""
+    field keeps a per-slot negligibility test, or a guard that only
+    re-judges another guard's output."""
     for make in (FloatField, CountingField, RationalField):
         assert not hasattr(make(), "is_negligible")
+        assert not hasattr(make(), "value_factors")
     rng = random.Random(26)
     for L in (20, 40, 150):
         A = [rng.uniform(-1.0, 1.0) for _ in range(L + 1)]

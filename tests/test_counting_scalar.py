@@ -94,9 +94,12 @@ def _summands(ops):
 @pytest.mark.parametrize("d,ops", GUARD_CASES)
 def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
     """Each guard answers a counting scalar as the float it holds: the
-    value guards on d, the floor on d and its summands, and differences
-    on d less each operand (0.0 without one).  Only the subtractions
-    differences forms are counted."""
+    value guard on d, the floor on d and its summands, differences on d
+    less each operand (0.0 without one), and factors on d * (y/c - 1),
+    with y the first operand and c the floored d (never zero, as factors
+    requires).  Only the arithmetic differences and factors form is
+    counted.  factors forms its bracket with the field's own 1, so the
+    counting field's own factors is asked, as an engine asks it."""
     plain = FloatField()
     counting = CountingField()
     cd = counting.convert(d)
@@ -112,14 +115,12 @@ def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
         )
 
     assert plain.is_zero(cd) == plain.is_zero(d)
-    [got] = plain.value_factors([cd])
-    assert same(got, plain.value_factors([d])[0])
     [got] = plain.value_divisors([cd])
     assert same(got, plain.value_divisors([d])[0])
     # Each summand its own one-slot column.
-    [got] = plain.structural_divisors([cd], *[[o] for o in csummands])
-    [want] = plain.structural_divisors([d], *[[o] for o in summands])
-    assert same(got, want)
+    [cc] = plain.structural_divisors([cd], *[[o] for o in csummands])
+    [c] = plain.structural_divisors([d], *[[o] for o in summands])
+    assert same(cc, c)
     assert counting.counts.total == 0
     got = plain.differences([cd] * len(cys), cys)
     want = plain.differences([d] * len(ys), ys)
@@ -127,6 +128,14 @@ def test_float_field_guards_treat_counting_scalars_as_floats(d, ops):
     assert all(map(same, got, want))
     assert counting.counts.as_dict() == {
         "additions": len(ys), "multiplications": 0, "divisions": 0,
+    }
+    [got] = counting.factors([cd], cys[:1], [cc])
+    [want] = plain.factors([d], ys[:1], [c])
+    assert same(got, want)
+    [bracket] = plain.differences([ys[0] / c], [1.0])
+    assert counting.counts.as_dict() == {
+        "additions": len(ys) + 1, "multiplications": int(bracket is not None),
+        "divisions": 1,
     }
 
 
@@ -184,86 +193,67 @@ def _difference_as_documented(x, y):
 @example(-0.0)
 @example(5e-324)
 def test_negligible_and_value_divisor_follow_the_documented_rule(d):
-    """value_factors and value_divisors return d itself unless it is
-    zero, and None where it is, for the float and the counting field, on
-    every kind of double (their operand rule moved to differences); the
-    exact field's value_factors returns every slot unchanged, an exact 0
-    included; the guards count nothing."""
+    """value_divisors returns d itself unless it is zero, and None where
+    it is, for the float and the counting field, on every kind of double
+    (the operand rule lives in differences), and counts nothing.  The
+    exact field's value_divisors refuses an exact 0 alone; its factors
+    x * (y/c - 1) is refused only where c is 0, so an exact zero product
+    stays a value."""
     counting = CountingField()
     for fld in (FloatField(), counting):
         cd = fld.convert(d)
-        for guard in (fld.value_factors, fld.value_divisors):
-            [got] = guard([cd])
-            assert got is (None if d == 0 else cd)
+        [got] = fld.value_divisors([cd])
+        assert got is (None if d == 0 else cd)
     assert counting.counts.total == 0
     exact = RationalField()
     column = [Fraction(0), *([Fraction(d)] if math.isfinite(d) else [])]
-    got = exact.value_factors(column)
-    assert len(got) == len(column) and all(map(operator.is_, got, column))
+    ones = [Fraction(1)] * len(column)
+    got = exact.value_divisors(column)
+    assert got[0] is None
+    assert all(g is (None if x == 0 else x)
+               for g, x in zip(got[1:], column[1:]))
+    assert exact.factors(column, column, ones) == [
+        x * (x - 1) for x in column]
+    assert exact.factors(ones, ones, column) == [
+        None if x == 0 else 1 / x - 1 for x in column]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(FLOOR_OPERANDS, FLOOR_OPERANDS), max_size=8),
-       st.lists(st.booleans(), max_size=8))
+@given(st.lists(st.tuples(FLOOR_OPERANDS, FLOOR_OPERANDS), max_size=8))
 # A difference exactly EPS times the scale is refused, one ulp more is
 # kept; a difference of subnormals next to a zero operand, an exact
 # zero, cancelling infinities and a NaN operand on either side.
 @example([(1.0, 1.0 - EPS), (1.0, 1.0 - 2 * EPS), (5e-324, 0.0),
           (-0.0, 0.0), (math.inf, math.inf), (math.inf, 1.0),
-          (math.nan, 1.0), (1.0, math.nan)], [False, True])
-def test_differences_follow_the_documented_rule(rows, refused):
+          (math.nan, 1.0), (1.0, math.nan)])
+def test_differences_follow_the_documented_rule(rows):
     """differences returns x - y, or None where the documented rule finds
     it cancelled, row by row, bit for bit and in type, for the float and
-    the counting field, on every kind of double.  A None x stays None and
-    its y is not read (here y is None too).  The counting field tallies
-    one addition per row it computes and none for a None row.  The exact
-    field refuses no difference, an exact zero included."""
-    nones = [i for i, r in enumerate(refused[:len(rows)]) if r]
+    the counting field, on every kind of double.  The counting field
+    tallies one addition per row.  The exact field refuses an exact zero
+    difference and no other."""
     counting = CountingField()
     for fld in (FloatField(), counting):
         xs = [fld.convert(x) for x, _ in rows]
         ys = [fld.convert(y) for _, y in rows]
-        for i in nones:
-            xs[i] = ys[i] = None
         got = fld.differences(xs, ys)
         assert len(got) == len(rows)
         for x, y, g in zip(xs, ys, got):
-            if x is None:
-                assert g is None
-                continue
             want = _difference_as_documented(x, y)
             if want is None:
                 assert g is None
             else:
                 assert (type(g), g.hex()) == (type(x), want.hex())
     assert counting.counts.as_dict() == {
-        "additions": len(rows) - len(nones), "multiplications": 0,
-        "divisions": 0,
+        "additions": len(rows), "multiplications": 0, "divisions": 0,
     }
     exact = RationalField()
     finite = [(Fraction(x), Fraction(y)) for x, y in rows
               if math.isfinite(x) and math.isfinite(y)]
-    xs = [Fraction(1), None, *(x for x, _ in finite)]
-    ys = [Fraction(1), None, *(y for _, y in finite)]
+    xs = [Fraction(1), Fraction(1), *(x for x, _ in finite)]
+    ys = [Fraction(1), Fraction(0), *(y for _, y in finite)]
     assert exact.differences(xs, ys) == [
-        Fraction(0), None, *(x - y for x, y in finite)]
-
-
-@pytest.mark.parametrize("make", [FloatField, CountingField, RationalField])
-def test_value_guards_keep_a_refused_slot_refused(make):
-    """A slot an earlier guard refused (None) stays None through both
-    value guards and through differences, whose y of that row (None too)
-    is not read; the other slots are judged as usual."""
-    fld = make()
-    one, zero = fld.convert(1), fld.convert(0)
-    # The exact field refuses no factor, not even an exact zero.
-    for guard, kept in ((fld.value_divisors, False),
-                        (fld.value_factors, make is RationalField)):
-        assert guard([None, one]) == [None, one]
-        assert guard([None, one, zero]) == [None, one, zero if kept else None]
-    # The exact field refuses no difference; the float one refuses 1 - 1.
-    got = fld.differences([None, one, one], [None, zero, one])
-    assert got == [None, one, zero if make is RationalField else None]
+        None, Fraction(1), *(None if x == y else x - y for x, y in finite)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,17 +263,27 @@ def test_value_guards_keep_a_refused_slot_refused(make):
                            min_size=1, max_size=8)))
 # Floored, refused and kept slots side by side: an exact zero, a divisor
 # cancelled next to its operands, an ordinary one, a subnormal and NaN.
+# Among the float factors: a bracket cancelled (y = c), a zero product
+# (x = 0) and a product that underflows to -0.0 (5e-324 * -0.5); among
+# the exact ones: a zero c and exact zero products (y = c, and x = 0).
 @example([[0.0, 1.0], [1e-300, 2.0], [0.5, 3.0], [5e-324, 0.0],
-          [math.nan, 1.0], [-EPS, 1.0]])
+          [math.nan, 1.0], [-EPS, 1.0], [2.0, 2.0], [2.0, 1.0, 1.0],
+          [0.0, 1.0, 3.0], [5e-324, FLOOR_MIN / 2]])
 def test_column_guards_judge_each_slot_by_its_own_operands(rows):
     """A column of several quantities, each with its own operands (up to
     three, the others 0.0), gets slot for slot what the documented rules
     give each row alone: the floor of d next to its summands, d refused
-    where it is zero, and d less its first operand refused where it
-    cancels; floored, refused and kept slots side by side.  The counting
+    where it is zero, d less its first operand refused where it cancels,
+    and the factor d * (y/c - 1), with y the first operand, refused where
+    its bracket cancels (the differences rule) or its product is zero;
+    floored, refused and kept slots side by side.  The float factor's c
+    is the floored d, never zero, as factors requires.  The counting
     field keeps its scalar type in every slot it returns, floored ones
-    included; the guards count nothing and differences one addition per
-    row."""
+    included; the value guard and the floor count nothing, differences
+    one addition per row, and factors a division and an addition per row
+    and a multiplication per bracket kept.  The exact field's factor,
+    with c the second operand, is refused only where c is zero; an exact
+    zero product stays a value."""
     counting = CountingField()
     for fld in (FloatField(), counting):
         converted = [[fld.convert(x) for x in (row[0], *_summands(row[1:]))]
@@ -293,8 +293,12 @@ def test_column_guards_judge_each_slot_by_its_own_operands(rows):
         floored = fld.structural_divisors(ds, *summands)
         assert counting.counts.total == 0
         diffs = fld.differences(ds, summands[0])
+        factors = fld.factors(ds, summands[0], floored)
         assert len(kept) == len(floored) == len(diffs) == len(rows)
-        for d, *row_ops, k, f, x in zip(ds, *summands, kept, floored, diffs):
+        assert len(factors) == len(rows)
+        brackets = 0  # of this field's rows
+        for d, *row_ops, k, f, x, p in zip(ds, *summands, kept, floored,
+                                           diffs, factors):
             assert k is (None if d == 0 else d)
             want = _floor_as_documented(d, *row_ops)
             assert (type(f), f.hex()) == (type(want), want.hex())
@@ -304,9 +308,24 @@ def test_column_guards_judge_each_slot_by_its_own_operands(rows):
                 assert x is None
             else:
                 assert (type(x), x.hex()) == (type(d), want.hex())
+            bracket = _difference_as_documented(
+                float(row_ops[0]) / float(f), 1.0)
+            brackets += bracket is not None
+            want = None if bracket is None else float(d) * bracket
+            if want is None or want == 0.0:
+                assert p is None
+            else:
+                assert (type(p), p.hex()) == (type(d), want.hex())
     assert counting.counts.as_dict() == {
-        "additions": len(rows), "multiplications": 0, "divisions": 0,
+        "additions": 2 * len(rows), "multiplications": brackets,
+        "divisions": len(rows),
     }
+    exact = RationalField()
+    finite = [[Fraction(x) for x in (row[0], *_summands(row[1:]))]
+              for row in rows if all(map(math.isfinite, row))]
+    xs, ys, cs = ([row[i] for row in finite] for i in range(3))
+    assert exact.factors(xs, ys, cs) == [
+        None if c == 0 else x * (y / c - 1) for x, y, c in zip(xs, ys, cs)]
 
 
 def test_infer_field_picks_the_float_field():

@@ -10,6 +10,11 @@ any change to a float bit, a rational, a status, an entry set, an item
 order, an operation count or a CLI byte.  When a change is meant to alter
 one of these, record the new digest printed by the failing assertion and
 say why in CHANGES.md.
+
+Run as a script (PYTHONPATH=src python tests/test_pinned_outputs.py), the
+module prints the engine corpus, one line per line, under a "# kind L=..
+seed=.. field" header per section, so the corpora of two checkouts can be
+diffed section by section.
 """
 
 from __future__ import annotations
@@ -225,3 +230,8 @@ def test_outputs_match_pinned_digest(tmp_path, capsys):
     for line in _cli_lines(tmp_path, capsys):
         h.update(line.encode("utf-8") + b"\n")
     assert h.hexdigest() == PINNED_SHA256
+
+
+if __name__ == "__main__":
+    for line in _corpus_lines():
+        print(line)

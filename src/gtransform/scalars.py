@@ -11,9 +11,11 @@ operands that formed it forms the quantity itself or takes those
 operands.  differences(xs, ys) forms the divisors x - y (eps's hi - lo,
 rs's r0 - r1) row by row and refuses (None) one that vanishes as the
 field judges it; factors(xs, ys, cs) forms rs's factor x * (y/c - 1) and
-refuses one that breaks down (a vanished bracket or a zero product in
-float arithmetic, a zero c in exact); structural_divisors(ds, q1, q0,
-ep) floors each qd divisor d = q1 - q0 + ep next to its three summands.
+refuses one that breaks down (a bracket vanished by differences' rule,
+judged inline, or a zero product in float arithmetic, a zero c in
+exact; the float fields make no test on c, never zero in rs);
+structural_divisors(ds, q1, q0, ep) floors each qd divisor
+d = q1 - q0 + ep next to its three summands.
 value_divisors refuses a zero divisor (fsqd's N and the Sylvester
 divisors).  is_zero and is_finite judge single values: the input
 checks, and whether a value an engine would report is finite.
@@ -33,7 +35,6 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Union
 
 # Unit roundoff for double precision.  Relative negligibility threshold:
@@ -194,6 +195,9 @@ class FloatField:
     # quantity itself (differences, factors) or takes its summands as
     # fixed columns (structural_divisors), and finds the operand scale
     # inline: one pass over the rows, with no row tuples and no inner loop.
+    # differences and structural_divisors keep a row at once where it
+    # clears EPS times its operands' rounded magnitude sum, which is never
+    # below their maximum; only the other rows find the maximum.
     def differences(self, xs, ys) -> list:
         """x - y row by row, or None where the difference is negligible:
         |x - y| at most EPS times the larger of |x| and |y| (NaN skipped,
@@ -201,6 +205,10 @@ class FloatField:
         out = []
         for x, y in zip(xs, ys):
             d = x - y
+            # A NaN fails the sum-bound test and falls through.
+            if abs(d) > EPS * (abs(x) + abs(y)):
+                out.append(d)
+                continue
             a, b = abs(x), abs(y)
             # Skipping a NaN operand here is moot: it makes d NaN, and a
             # NaN d is never refused.
@@ -218,12 +226,18 @@ class FloatField:
         y/c - 1 is negligible next to y/c and 1 (differences' rule) or
         where the product is zero, an underflow included.  c is not
         tested: in rs every c is a u value (no zero), s's first column
-        (1) or a factor this guard did not refuse."""
+        (1) or a factor this guard did not refuse.  One pass forms
+        t = y/c, b = t - 1 and x * b in that order, row by row, and judges
+        b inline (NaN t skipped) rather than through differences."""
         one = self.convert(1)
-        brackets = self.differences([y / c for y, c in zip(ys, cs)],
-                                    repeat(one))
-        return [None if b is None or (p := x * b) == 0.0 else p
-                for x, b in zip(xs, brackets)]
+        out = []
+        for x, y, c in zip(xs, ys, cs):
+            t = y / c
+            b = t - one
+            a = abs(t)
+            out.append(None if abs(b) <= EPS * (a if a > 1.0 else 1.0)
+                       or (p := x * b) == 0.0 else p)
+        return out
 
     def structural_divisors(self, ds, q1, q0, ep) -> list:
         """Safe divisors for the qd divisors d = q1 - q0 + ep, whose
@@ -233,6 +247,10 @@ class FloatField:
         0.0) and at least FLOOR_MIN."""
         out = []
         for d, a, b, c in zip(ds, q1, q0, ep):
+            m = abs(d)
+            if m >= FLOOR_MIN and m >= EPS * (abs(a) + abs(b) + abs(c)):
+                out.append(d)
+                continue
             scale = 0.0
             a = abs(a)
             if a > scale:

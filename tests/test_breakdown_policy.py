@@ -295,14 +295,14 @@ def _recording_field():
 # The guard calls a float engine makes per column on a run with no
 # breakdown: fsqd floors its qd divisors and judges its final N divisors;
 # eps forms and judges hi - lo at each of its 2L steps, two per column;
-# rs forms and judges its two factors, each of which passes its brackets
-# to differences, and forms and judges its entry's r0 - r1.  Each
-# quantity is one engine call: fsqd 2, eps 2 and rs 3 per column.
+# rs forms and judges its two factors, each judging its brackets inline,
+# and forms and judges its entry's r0 - r1.  Each quantity is one engine
+# call, and no guard calls another: fsqd 2, eps 2 and rs 3 per column.
 GUARDS_PER_COLUMN = {
     "fsqd": {"structural_divisors": 1, "value_divisors": 1},
     "fsqd_diag": {"structural_divisors": 1, "value_divisors": 1},
     "eps": {"differences": 2},
-    "rs": {"factors": 2, "differences": 3},
+    "rs": {"factors": 2, "differences": 1},
 }
 
 
@@ -311,7 +311,7 @@ def test_every_guard_judges_a_column(method):
     """The engines ask the field's guards once per column, never once per
     slot: on a run with no breakdown at L = 20, 40 and 150 each float
     engine makes exactly GUARDS_PER_COLUMN[method] calls of each guard
-    per column (fsqd and fsqd_diag 2L in all, eps 2L, rs 5L), so the
+    per column (fsqd and fsqd_diag 2L in all, eps 2L, rs 3L), so the
     count grows linearly in L while a table has about L^2 slots.  No
     field keeps a per-slot negligibility test, or a guard that only
     re-judges another guard's output."""

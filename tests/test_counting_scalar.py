@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -161,6 +162,10 @@ FLOOR_OPERANDS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=4))
+# |d| between EPS times the largest summand and EPS times their sum: kept
+# by the rule, though it fails the sum-bound keep test.
+@example([2 * EPS, 1.0, 1.0, 1.0])
+@example([-2 * EPS, 1.0, -1.0])
 def test_structural_floor_follows_the_documented_rule(row):
     """structural_divisors equals the documented floor rule bit for bit
     and in type, for the float and the counting field, on every kind of
@@ -226,6 +231,9 @@ def test_negligible_and_value_divisor_follow_the_documented_rule(d):
 @example([(1.0, 1.0 - EPS), (1.0, 1.0 - 2 * EPS), (5e-324, 0.0),
           (-0.0, 0.0), (math.inf, math.inf), (math.inf, 1.0),
           (math.nan, 1.0), (1.0, math.nan)])
+# |x - y| between EPS times the larger operand and EPS times their sum:
+# kept by the rule, though it fails the sum-bound keep test.
+@example([(1.0, 1.0 - 1.5 * EPS), (-1.0, -1.0 + 1.5 * EPS)])
 def test_differences_follow_the_documented_rule(rows):
     """differences returns x - y, or None where the documented rule finds
     it cancelled, row by row, bit for bit and in type, for the float and
@@ -326,6 +334,75 @@ def test_column_guards_judge_each_slot_by_its_own_operands(rows):
     xs, ys, cs = ([row[i] for row in finite] for i in range(3))
     assert exact.factors(xs, ys, cs) == [
         None if c == 0 else x * (y / c - 1) for x, y, c in zip(xs, ys, cs)]
+
+
+def _factors_in_three_steps(fld, xs, ys, cs):
+    """rs's factor written out as three column steps: every ratio y/c,
+    then the brackets differences(ratios, repeat(1)), then x times each
+    bracket kept, refused where the product is zero."""
+    ratios = [y / c for y, c in zip(ys, cs)]
+    brackets = fld.differences(ratios, repeat(fld.convert(1)))
+    return [None if b is None or (p := x * b) == 0.0 else p
+            for x, b in zip(xs, brackets)]
+
+
+# Doubles a factor can meet: signed zeros, subnormals, infinities, NaN
+# and values near 1e+-300, besides any finite double.
+FACTOR_OPERANDS = st.one_of(
+    FLOOR_OPERANDS,
+    st.sampled_from([1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                     2.2250738585072014e-308]),
+    st.builds(lambda sign, m: sign * m, st.sampled_from((-1.0, 1.0)),
+              st.one_of(st.floats(1e-302, 1e-298), st.floats(1e298, 1e302))),
+)
+# A row whose ratio y/c is 1 + k ulp or 1 - k ulp, exactly where c is a
+# power of two inside the double range: y's bracket lies at the
+# negligibility threshold.
+NEAR_ONE_ROWS = st.builds(
+    lambda x, k, up, sign, e: (
+        x, sign * (1.0 + k * EPS if up else 1.0 - k * EPS / 2) * 2.0 ** e,
+        sign * 2.0 ** e),
+    FACTOR_OPERANDS, st.integers(0, 4), st.booleans(),
+    st.sampled_from((-1.0, 1.0)), st.integers(-1074, 1023))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(FACTOR_OPERANDS, FACTOR_OPERANDS,
+              FACTOR_OPERANDS.filter(bool)),
+    NEAR_ONE_ROWS), max_size=8))
+# Ratios at 1 - 3 ulp (a bracket kept, though it fails differences'
+# sum-bound keep test), 1 - 1 ulp and 1 + 1 ulp (refused) and 1 + 2 ulp
+# (kept); a cancelled bracket, a zero and an underflowing product, a NaN
+# and an infinite ratio, and signed zeros.
+@example([(1.0, 1.0 - 1.5 * EPS, 1.0), (3.0, 1.0 - EPS / 2, 1.0),
+          (-2.0, 1.0 + EPS, 1.0), (-2.0, 1.0 + 2 * EPS, 1.0),
+          (1.0, 1.0, 1.0), (0.0, 2.0, 1.0), (5e-324, 1.5, 1.0),
+          (1.0, math.nan, 2.0), (1.0, 1e300, 1e-300), (-0.0, -0.0, 1.0),
+          (2.0, -0.0, -1.0)])
+def test_factors_equal_their_three_column_steps(rows):
+    """factors, which forms y/c, its bracket and the product in one pass,
+    equals the three steps written out with the same field's
+    differences, row for row: each value's type and bits (its sign
+    included), each None, and the counting tally.  c is never zero, as
+    factors requires."""
+    for make in (FloatField, CountingField):
+        one_pass, steps = make(), make()
+        got = one_pass.factors(*([one_pass.convert(row[i]) for row in rows]
+                                 for i in range(3)))
+        want = _factors_in_three_steps(
+            steps, *([steps.convert(row[i]) for row in rows]
+                     for i in range(3)))
+        assert len(got) == len(want) == len(rows)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert type(g) is type(one_pass.convert(0.0))
+                assert type(w) is type(steps.convert(0.0))
+                assert g.hex() == w.hex()
+        if make is CountingField:
+            assert one_pass.counts == steps.counts
 
 
 def test_infer_field_picks_the_float_field():

@@ -285,18 +285,25 @@ def _scaled(xs, k):
 # floored at FLOOR_MIN, in both runs alike.
 @example(([1.0, 1.5, 1.75], [1e-20 ** k for k in range(5)], [1.0, 2.0]),
          7, -5, 3)
+# u_2 * 2^-1070 = 2^-1075 rounds to 0.0: the scaled u holds a zero its
+# input check refuses, so that run lies outside the domain.
+@example(([F(-2), F(-2)], [F(1), F(1), F(1, 32)], [F(1)]), -1070, 0, 0)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5).flatmap(_case), POWERS, POWERS, POWERS)
 def test_float_power_of_two_scale(case, k_u, k_A, k_E):
     """In float and counting mode, u -> 2^k_u u changes no entry and
     A -> 2^k_A A scales every valid one by 2^k_A, bit for bit and with
     statuses unchanged, wherever both runs stay inside _DomainWatch's
-    domain; eps's E -> 2^k_E E likewise scales by 2^k_E."""
+    domain; eps's E -> 2^k_E E likewise scales by 2^k_E.  A scaled input
+    that underflowed to zero from a nonzero value is outside it."""
     A, u, E = case
     runs = [(m, _scaled(A, 0), _scaled(u, 0), _scaled(A, k_A),
              _scaled(u, k_u), k_A) for m in PAIR_METHODS]
     runs.append(("eps", _scaled(E, 0), (), _scaled(E, k_E), (), k_E))
     for method, X, v, X2, v2, k in runs:
+        if any(x != 0 and x2 == 0
+               for x, x2 in zip([*X, *v], [*X2, *v2], strict=True)):
+            continue
         if not (_inside(method, X, v) and _inside(method, X2, v2)):
             continue
         for make in FLOAT_FIELDS:

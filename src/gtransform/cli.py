@@ -285,7 +285,8 @@ def _finite_float(text: str) -> float:
 
 def cmd_integrate(args) -> int:
     if args.n_max > MAX_N_MAX:
-        raise ArgumentError(f"--n-max is capped at {MAX_N_MAX}, got {args.n_max}")
+        raise ArgumentError(
+            f"--n-max is capped at {MAX_N_MAX}, got {args.n_max}")
     if args.subdivisions > MAX_SUBDIVISIONS:
         raise ArgumentError(f"--subdivisions is capped at {MAX_SUBDIVISIONS}, "
                             f"got {args.subdivisions}")
@@ -314,7 +315,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.L > MAX_BENCH_L:
-        raise ArgumentError(f"bench is capped at L <= {MAX_BENCH_L}, got {args.L}")
+        raise ArgumentError(
+            f"bench is capped at L <= {MAX_BENCH_L}, got {args.L}")
     doc = asdict(bench_method(args.method, args.L, args.seed))
     doc["seed"] = args.seed
     _emit(doc, args)
@@ -352,7 +354,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gtransform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", help="write the output here instead of stdout")
+    output.add_argument("--output",
+                        help="write the output here instead of stdout")
     render = argparse.ArgumentParser(add_help=False)
     render.add_argument("--format", choices=("json", "text"), default="json")
     render.add_argument("--full", action="store_true",
@@ -360,13 +363,15 @@ def _build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="run an engine on a sequence file",
                              parents=[output, render])
-    p_table.add_argument("--input", required=True, help="InputDocument JSON path")
+    p_table.add_argument("--input", required=True,
+                         help="InputDocument JSON path")
     p_table.add_argument("--method", required=True, choices=METHODS)
     p_table.add_argument("--exact", action="store_true",
                          help="exact rational arithmetic")
     p_table.set_defaults(fn=cmd_table)
 
-    p_int = sub.add_parser("integrate", help="accelerate a semi-infinite integral",
+    p_int = sub.add_parser("integrate",
+                           help="accelerate a semi-infinite integral",
                            parents=[output, render])
     p_int.add_argument("--integrand", required=True,
                        choices=("exp_decay", "t_exp", "sinc"))

@@ -14,7 +14,13 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import oracle
-from .engines import build_qd_table, run_epsilon, run_fs_qd, run_rs, shanks_prepare
+from .engines import (
+    build_qd_table,
+    run_epsilon,
+    run_fs_qd,
+    run_rs,
+    shanks_prepare,
+)
 from .scalars import RationalField
 from .tables import EntryStatus, InitializationError, SequencePair
 
@@ -151,7 +157,9 @@ def check_rs_identity_case(seq: SequencePair) -> Optional[str]:
     ])
 
 
-def _run_with_redraw(report: CheckReport, rng, draw, check, cases: int) -> None:
+def _run_with_redraw(
+    report: CheckReport, rng, draw, check, cases: int
+) -> None:
     """Check cases non-degenerate draws, redrawing degenerate ones, in at
     most 20 draws a case (400 at the default of 20 cases)."""
     budget = 20 * cases

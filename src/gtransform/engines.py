@@ -173,7 +173,10 @@ def _qd_sweep(u, L: int, field):
     restores where the column is read, so _apply hands the updates values
     alone.  A refused divisor (only exact arithmetic refuses one, in
     build_qd_table) ends clean: from then on the columns are held at full
-    length and swept by the slot rule.
+    length and swept by the slot rule.  A guard that floors nothing
+    returns e itself (the float fields do), and d is e is clean without a
+    scan; d is scanned for a refused divisor only when the guard made a
+    new column, as the exact field always does.
     """
     q = [u1 / u0 for u1, u0 in zip(u[1:], u)]
     e = [field.convert(0)] * (2 * L + 1)
@@ -183,7 +186,7 @@ def _qd_sweep(u, L: int, field):
         ops = q[1:], q, e[1:]
         e = _apply(_qd_difference, clean, *ops)
         d = _apply(field.structural_divisors, clean, e, *ops)
-        if clean and _holds(d, None):
+        if clean and d is not e and _holds(d, None):
             clean = False
             size = 2 * (L - n) + 1
             q, e, d = _pad(q, size + 1), _pad(e, size), _pad(d, size)
@@ -345,7 +348,9 @@ def run_fs_qd(
     return ExtrapolationTable(method, columns)
 
 
-def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
+def run_rs(
+    seq: SequencePair, field=None
+) -> Tuple[RsTable, ExtrapolationTable]:
     """The r/s recursion and the accelerated table it drives.
 
     s[j][0] = 1 and r[j][1] = u_j; then
@@ -364,9 +369,13 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     field's differences, refused where it cancels next to r[j][n] and
     r[j+1][n] (float) or is zero (exact).
 
-    _apply builds every column under one clean flag for s, r and the values
-    (a choice for simplicity: s and r never read the values).  It holds
-    unless u is short or column 0 holds a breakdown, until a column does.
+    _apply builds every column under one clean flag for s, r and the
+    values (a choice for simplicity: s and r never read the values).  It
+    holds unless u is short or column 0 holds a breakdown, until a column
+    does.  A factor column is scanned once for a refused factor (None):
+    while clean it is kept as factors returned it, and None is turned
+    into breakdown only in a column that holds one, or in one that came
+    off the slot rule.
     """
     L = seq.L
     field, A, u = _input(field, L, seq.A, seq.u)
@@ -374,9 +383,14 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     differences, factors, finite = (
         field.differences, field.factors, field.is_finite)
 
-    def factor(a, b, c):
-        # a * (b/c - 1): the r and the s update.
-        return [BREAKDOWN if v is None else v for v in factors(a, b, c)]
+    def factor(clean, a, b, c):
+        # a * (b/c - 1): the r and the s update, and whether the sweep
+        # stays clean.  A refused factor (None) breaks down; a clean
+        # column with none is kept as factors returned it.
+        col = _apply(factors, clean, a, b, c)
+        if clean and not _holds(col, None):
+            return col, True
+        return [BREAKDOWN if v is None else v for v in col], False
 
     def entry(r0, r1, t1, t0):
         # t1 is never longer than r0 or r1, so r0 - r1 is formed on the
@@ -394,12 +408,12 @@ def run_rs(seq: SequencePair, field=None) -> Tuple[RsTable, ExtrapolationTable]:
     clean = len(u) == 2 * L + 1 and not _holds(columns[0])
     for _ in range(L):
         r, t = r_cols[-1], columns[-1]
-        s = _apply(factor, clean, s_cols[-1][1:], r[1:], r)
-        clean = clean and not _holds(s)
+        s, clean = factor(clean, s_cols[-1][1:], r[1:], r)
         s_cols.append(s)
-        r_cols.append(_apply(factor, clean, r[1:], s[1:], s))
+        r_next, r_clean = factor(clean, r[1:], s[1:], s)
+        r_cols.append(r_next)
         columns.append(_apply(entry, clean, r, r[1:], t[1:], t))
-        clean = clean and not (_holds(r_cols[-1]) or _holds(columns[-1]))
+        clean = r_clean and not _holds(columns[-1])
     return RsTable(r_cols, s_cols), ExtrapolationTable("rs", columns)
 
 
@@ -412,9 +426,9 @@ def run_epsilon(A, field=None) -> ExtrapolationTable:
     The field's differences forms eps[j+1][k] - eps[j][k] and refuses it
     where it cancels next to its two operands (under float arithmetic) or
     is zero (exact); a refused difference or a value that is not finite
-    marks the entry, and every entry that depends on it, breakdown.  The columns are built by _apply, clean until one
-    holds a breakdown: the first two operand columns, zeros and the raw
-    A, hold no status.
+    marks the entry, and every entry that depends on it, breakdown.  The
+    columns are built by _apply, clean until one holds a breakdown: the
+    first two operand columns, zeros and the raw A, hold no status.
     """
     L = (len(A) - 1) // 2
     field, vals, _ = _input(field, L, A)

@@ -15,9 +15,13 @@ refuses one that breaks down (a bracket vanished by differences' rule,
 judged inline, or a zero product in float arithmetic, a zero c in
 exact; the float fields make no test on c, never zero in rs);
 structural_divisors(ds, q1, q0, ep) floors each qd divisor
-d = q1 - q0 + ep next to its three summands.
-value_divisors refuses a zero divisor (fsqd's N and the Sylvester
-divisors).  is_zero and is_finite judge single values: the input
+d = q1 - q0 + ep next to its three summands.  value_divisors refuses a
+zero divisor (fsqd's N and the Sylvester divisors).  In float
+arithmetic each guard keeps a row by the cheapest test that implies its
+rule, and only the other rows meet the rule itself: factors compares
+y/c with the closed-form set of ratios whose bracket the rule refuses,
+and structural_divisors returns ds itself when every row passes its
+keep test.  is_zero and is_finite judge single values: the input
 checks, and whether a value an engine would report is finite.
 
 A field's convert is also the one place that turns input into numbers:
@@ -35,6 +39,7 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 # Unit roundoff for double precision.  Relative negligibility threshold:
@@ -195,18 +200,27 @@ class FloatField:
     # quantity itself (differences, factors) or takes its summands as
     # fixed columns (structural_divisors), and finds the operand scale
     # inline: one pass over the rows, with no row tuples and no inner loop.
-    # differences and structural_divisors keep a row at once where it
-    # clears EPS times its operands' rounded magnitude sum, which is never
-    # below their maximum; only the other rows find the maximum.
+    # Each keeps a row by the cheapest test that implies its rule, and only
+    # the other rows reach the rule itself.
     def differences(self, xs, ys) -> list:
         """x - y row by row, or None where the difference is negligible:
         |x - y| at most EPS times the larger of |x| and |y| (NaN skipped,
-        from 0.0), zero included."""
+        from 0.0), zero included.
+
+        A row with 2 EPS |x| < |d| < inf, d = x - y rounded, is kept at
+        once, without finding the maximum.  Rounded to nearest, that test
+        gives 2 EPS |x| <= |d| - g/2, g the gap below |d|; with
+        |x - y| <= |d| (1 + 2**-53) and |y| <= |x| + |x - y|, the rule's
+        EPS max(|x|, |y|) stays below |d| - g/2, so its rounded scale is
+        below |d|, subnormal d included.  The bound < inf sends an
+        infinite d to the rule: a finite x with an infinite y gives one,
+        and the rule refuses it (inf <= EPS inf).  Every other row, NaN d
+        included, meets the rule as written."""
+        two_eps, inf = 2 * EPS, math.inf
         out = []
         for x, y in zip(xs, ys):
             d = x - y
-            # A NaN fails the sum-bound test and falls through.
-            if abs(d) > EPS * (abs(x) + abs(y)):
+            if two_eps * abs(x) < abs(d) < inf:
                 out.append(d)
                 continue
             a, b = abs(x), abs(y)
@@ -227,15 +241,21 @@ class FloatField:
         where the product is zero, an underflow included.  c is not
         tested: in rs every c is a u value (no zero), s's first column
         (1) or a factor this guard did not refuse.  One pass forms
-        t = y/c, b = t - 1 and x * b in that order, row by row, and judges
-        b inline (NaN t skipped) rather than through differences."""
+        t = y/c, b = t - 1 and x * b in that order, row by row.
+
+        The rule |b| <= EPS max(|t|, 1) refuses exactly the t from
+        1 - 2**-52 to 1 + 2**-52, and t = +-inf, and never a NaN t.
+        Within [1/2, 2] b is exact, and those two bounds are the farthest
+        doubles from 1 that it refuses; outside, |b| exceeds
+        EPS max(|t|, 1).  So the guard compares t with the bounds, and
+        still forms b on every row, as the rule does."""
         one = self.convert(1)
+        lo, hi, inf = 1.0 - EPS, 1.0 + EPS, math.inf
         out = []
         for x, y, c in zip(xs, ys, cs):
             t = y / c
             b = t - one
-            a = abs(t)
-            out.append(None if abs(b) <= EPS * (a if a > 1.0 else 1.0)
+            out.append(None if lo <= t <= hi or t == inf or t == -inf
                        or (p := x * b) == 0.0 else p)
         return out
 
@@ -244,9 +264,26 @@ class FloatField:
         quotients only propagate the table (never reported directly), slot
         by slot: d floored away from zero, in its own type, to EPS times
         the largest magnitude of its three summands (NaN skipped, from
-        0.0) and at least FLOOR_MIN."""
+        0.0) and at least FLOOR_MIN.
+
+        ds itself is returned, not a copy, when every d clears FLOOR_MIN
+        and EPS times its summands' rounded magnitude sum (never below
+        their maximum), so no d is floored.  Otherwise a new list keeps
+        the rows before the first that fails that test and judges the
+        rest by the rule.  The four columns have equal length, as in the
+        qd sweep."""
+        rows = zip(ds, q1, q0, ep)
+        for d, a, b, c in rows:
+            m = abs(d)
+            if not (m >= FLOOR_MIN
+                    and m >= EPS * (abs(a) + abs(b) + abs(c))):
+                break
+        else:
+            return ds
+        # The rows before this one passed the keep test and start the new
+        # column as they are; this row and the rest are judged below.
         out = []
-        for d, a, b, c in zip(ds, q1, q0, ep):
+        for d, a, b, c in chain(((d, a, b, c),), rows):
             m = abs(d)
             if m >= FLOOR_MIN and m >= EPS * (abs(a) + abs(b) + abs(c)):
                 out.append(d)
@@ -265,6 +302,7 @@ class FloatField:
             floor = scaled if scaled > FLOOR_MIN else FLOOR_MIN
             out.append(d if abs(d) >= floor
                        else type(d)(floor if d >= 0.0 else -floor))
+        out[:0] = ds[:len(ds) - len(out)]
         return out
 
 

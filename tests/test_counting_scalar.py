@@ -163,7 +163,8 @@ FLOOR_OPERANDS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(FLOOR_OPERANDS, min_size=1, max_size=4))
 # |d| between EPS times the largest summand and EPS times their sum: kept
-# by the rule, though it fails the sum-bound keep test.
+# by the rule, though it fails the guard's first keep test, on the
+# summands' magnitude sum, so the guard builds a new column.
 @example([2 * EPS, 1.0, 1.0, 1.0])
 @example([-2 * EPS, 1.0, -1.0])
 def test_structural_floor_follows_the_documented_rule(row):
@@ -179,6 +180,25 @@ def test_structural_floor_follows_the_documented_rule(row):
         want = _floor_as_documented(d, *ops)
         assert (type(got), got.hex()) == (type(want), want.hex())
         assert type(got) is type(d)
+    assert counting.counts.total == 0
+
+
+def test_structural_divisors_hand_back_a_column_they_do_not_floor():
+    """The float and the counting field's floor returns its input list
+    itself when no divisor is floored, and a new list of equal length
+    when one is: every kept divisor the same object, the floored one
+    replaced.  Neither counts anything."""
+    counting = CountingField()
+    for fld in (FloatField(), counting):
+        ds, q1, q0, ep = ([fld.convert(x) for x in col] for col in (
+            [0.5, -2.0, 1e-20, 3.0], [1.0, 1.0, 1e-20, 4.0],
+            [0.5, 3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]))
+        assert fld.structural_divisors(ds, q1, q0, ep) is ds
+        ds[1] = fld.convert(EPS / 4)
+        got = fld.structural_divisors(ds, q1, q0, ep)
+        assert got is not ds and len(got) == len(ds)
+        assert [g is d for g, d in zip(got, ds)] == [True, False, True, True]
+        assert (type(got[1]), got[1]) == (type(ds[1]), 3.0 * EPS)
     assert counting.counts.total == 0
 
 
@@ -231,9 +251,20 @@ def test_negligible_and_value_divisor_follow_the_documented_rule(d):
 @example([(1.0, 1.0 - EPS), (1.0, 1.0 - 2 * EPS), (5e-324, 0.0),
           (-0.0, 0.0), (math.inf, math.inf), (math.inf, 1.0),
           (math.nan, 1.0), (1.0, math.nan)])
-# |x - y| between EPS times the larger operand and EPS times their sum:
-# kept by the rule, though it fails the sum-bound keep test.
+# |x - y| between EPS and 2 EPS times |x|: kept by the rule, though it
+# fails the fast keep test 2 EPS |x| < |x - y|.
 @example([(1.0, 1.0 - 1.5 * EPS), (-1.0, -1.0 + 1.5 * EPS)])
+# A finite x with an infinite y: the difference is infinite, so the fast
+# keep test (< inf) leaves it to the rule, which refuses it.  Opposite
+# huge operands: the difference overflows, and the rule keeps it.
+@example([(1.0, math.inf), (-1.0, -math.inf), (1e308, -1e308)])
+# Subnormal differences one and two ulps wide: next to the smallest
+# normal, where EPS times it rounds to one ulp (one refused, two kept),
+# and between subnormals, where it rounds to zero (both kept).
+@example([(2.0 ** -1022, 2.0 ** -1022 - 5e-324),
+          (2.0 ** -1022, 2.0 ** -1022 - 1e-323),
+          (-2.0 ** -1022 + 5e-324, -2.0 ** -1022),
+          (1.5e-323, 1e-323), (1.5e-323, 5e-324)])
 def test_differences_follow_the_documented_rule(rows):
     """differences returns x - y, or None where the documented rule finds
     it cancelled, row by row, bit for bit and in type, for the float and
@@ -371,15 +402,24 @@ NEAR_ONE_ROWS = st.builds(
     st.tuples(FACTOR_OPERANDS, FACTOR_OPERANDS,
               FACTOR_OPERANDS.filter(bool)),
     NEAR_ONE_ROWS), max_size=8))
-# Ratios at 1 - 3 ulp (a bracket kept, though it fails differences'
-# sum-bound keep test), 1 - 1 ulp and 1 + 1 ulp (refused) and 1 + 2 ulp
-# (kept); a cancelled bracket, a zero and an underflowing product, a NaN
-# and an infinite ratio, and signed zeros.
+# Ratios at 1 - 3 ulp (a bracket kept, though it fails differences' fast
+# keep test 2 EPS |t| < |t - 1|), 1 - 1 ulp and 1 + 1 ulp (refused) and
+# 1 + 2 ulp (kept); a cancelled bracket, a zero and an underflowing
+# product, a NaN and an infinite ratio, and signed zeros.
 @example([(1.0, 1.0 - 1.5 * EPS, 1.0), (3.0, 1.0 - EPS / 2, 1.0),
           (-2.0, 1.0 + EPS, 1.0), (-2.0, 1.0 + 2 * EPS, 1.0),
           (1.0, 1.0, 1.0), (0.0, 2.0, 1.0), (5e-324, 1.5, 1.0),
           (1.0, math.nan, 2.0), (1.0, 1e300, 1e-300), (-0.0, -0.0, 1.0),
           (2.0, -0.0, -1.0)])
+# Both ends of the refused ratios 1 - 2**-52 <= t <= 1 + 2**-52 and the
+# doubles inside (1 - 2**-53 and 1), the nearest ratios kept on either
+# side (1 - 3 * 2**-53 and 1 + 2 * 2**-52), infinite ratios (refused)
+# and a NaN one (kept).
+@example([(3.0, 1.0 - EPS, 1.0), (3.0, 1.0 - EPS / 2, 1.0),
+          (3.0, 1.0, 1.0), (3.0, 1.0 + EPS, 1.0),
+          (3.0, 1.0 - 1.5 * EPS, 1.0), (3.0, 1.0 + 2 * EPS, 1.0),
+          (3.0, math.inf, 1.0), (3.0, -math.inf, 1.0),
+          (3.0, math.nan, 1.0)])
 def test_factors_equal_their_three_column_steps(rows):
     """factors, which forms y/c, its bracket and the product in one pass,
     equals the three steps written out with the same field's

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtransform import engines
 from gtransform.crosscheck import (
     _Degenerate,
     check_epsilon_identity_case,
@@ -434,6 +435,35 @@ def test_exact_breakdown_with_short_u_reaches_every_dependent():
     t = build_qd_table([F(1)] * 5, 3, RAT)
     assert t.q.columns == [[], [1, 1, 1, 1, NC, NC], [B, B, NC, NC], [B, B]]
     assert t.e.columns == [[0] * 7, [0, 0, 0, NC, NC], [B, B, NC], [B]]
+
+
+def test_exact_qd_sweep_stays_clean_until_its_first_refused_divisor(
+        monkeypatch):
+    """The exact field's floor always returns a new column, which the qd
+    sweep scans for a refused divisor.  With u = -3, 1, -3, -2, 6, 4, 2
+    the first is e_2[1] = 0: the sweep runs clean through it and by the
+    slot rule after it, and q_3[1] and e_3[0], which read it, break
+    down while every other slot keeps its value."""
+    apply, calls = engines._apply, []
+
+    def recording_apply(f, clean, *cols):
+        calls.append((getattr(f, "__name__", ""), clean))
+        return apply(f, clean, *cols)
+
+    monkeypatch.setattr(engines, "_apply", recording_apply)
+    u = [F(x) for x in (-3, 1, -3, -2, 6, 4, 2)]
+    t = build_qd_table(u, 3, RAT)
+    floors = [clean for name, clean in calls
+              if name == "structural_divisors"]
+    assert floors == [True, True, False]
+    flags = [clean for _, clean in calls]
+    assert flags == sorted(flags, reverse=True)
+    B = EntryStatus.BREAKDOWN
+    assert t.e.columns[2] == [F(-9, 8), F(0), F(7, 11)]
+    assert t.q.columns[3] == [F(0), B]
+    assert t.e.columns[3] == [B]
+    assert [s for col in t.q.columns[:3] + t.e.columns[:3] for s in col
+            if isinstance(s, EntryStatus)] == []
 
 
 def _qd_columns(u, L, fld):
